@@ -45,8 +45,8 @@ main()
 
     std::cout << "stuck-at-0 sweep over ALU result bus bits:\n";
     for (int bit = 0; bit < 12; ++bit) {
-        Spec faulty = injectStuckBit(healthy, "alures", bit,
-                                     StuckMode::StuckAt0);
+        Spec faulty = FaultInjectorRegistry::global().get("set0").splice(
+            healthy, "alures", bit);
         VectorIo io;
         EngineConfig cfg;
         cfg.io = &io;
@@ -72,8 +72,8 @@ main()
     std::cout << "\nstuck-at-1 on the branch condition path "
                  "(iszero output):\n  ";
     try {
-        Spec faulty = injectStuckBit(healthy, "iszero", 0,
-                                     StuckMode::StuckAt1);
+        Spec faulty = FaultInjectorRegistry::global().get("set1").splice(
+            healthy, "iszero", 0);
         VectorIo io;
         EngineConfig cfg;
         cfg.io = &io;

@@ -9,9 +9,6 @@
  *   --no-trace           generate without trace statements
  *   --no-optimize        disable constant inlining/specialization
  *   --fixed-shl          repaired shift-left semantics
- *   --serve              C++ only: also emit the persistent `--serve`
- *                        command loop + state dump (the protocol the
- *                        NativeEngine adapter drives; DESIGN.md §5)
  *   --spec-hash          print the specification's identity hash
  *                        (the checkpoint/build-cache key) and exit
  *   --trace-out=FILE     write a Chrome trace_event JSON profile of
@@ -58,9 +55,6 @@ main(int argc, char **argv)
             opts.specializeConstMem = false;
         } else if (arg == "--fixed-shl") {
             opts.aluSemantics = AluSemantics::Fixed;
-        } else if (arg == "--serve") {
-            opts.emitServeLoop = true;
-            opts.emitStateDump = true;
         } else if (arg == "--spec-hash") {
             specHashOnly = true;
         } else if (arg.rfind("--trace-out=", 0) == 0) {
@@ -68,7 +62,7 @@ main(int argc, char **argv)
         } else if (arg == "--help" || arg == "-h") {
             std::cerr << "usage: asim2c [--lang=pascal|cpp] [-o file]\n"
                       << "              [--no-trace] [--no-optimize]\n"
-                      << "              [--fixed-shl] [--serve]\n"
+                      << "              [--fixed-shl]\n"
                       << "              [--spec-hash] "
                          "[--trace-out=file] <spec-file>\n";
             return 0;
@@ -85,10 +79,6 @@ main(int argc, char **argv)
     }
     if (lang != "pascal" && lang != "cpp") {
         std::cerr << "unknown language " << lang << "\n";
-        return 1;
-    }
-    if (opts.emitServeLoop && lang != "cpp") {
-        std::cerr << "--serve is C++ only (--lang=cpp)\n";
         return 1;
     }
     if (outPath.empty())

@@ -40,28 +40,20 @@ struct CodegenOptions
      *  latch exactly as Appendix E does (it is never read). */
     bool emitDataLatchQuirk = true;
 
-    /** C++ only: emit a machine-readable dump of the machine state
-     *  (`STATE_V <slot> <value>`, `STATE_M <index> <temp> <adr>
-     *  <opn>`, `STATE_C <index> <cell> <value>`, terminated by
-     *  `STATE_END`): on stderr after the one-shot simulation loop,
-     *  or as the `STATE` command's payload in serve mode. The native
-     *  engine adapter parses it to reconstruct MachineState across
-     *  the process boundary. */
+    /** C++ only: make the standalone program print a machine-
+     *  readable dump of the machine state to stderr after its
+     *  simulation loop (`STATE_V <slot> <value>`, `STATE_M <index>
+     *  <temp> <adr> <opn>`, `STATE_C <index> <cell> <value>`,
+     *  terminated by `STATE_END`). Engine builds (emitServeLoop)
+     *  have no such loop and ignore it. */
     bool emitStateDump = false;
 
-    /** C++ only: emit the `--serve` persistent command loop. A
-     *  simulator built with this option, launched as
-     *  `simulator --serve`, reads line-oriented commands on stdin
-     *  (`INPUT <n>`, `RUN <n>`, `RESET`, `STATE`, `SNAPSHOT`,
-     *  `RESTORE <n>`, `STATS`, `QUIT`) and answers each with
-     *  `OK <cycle> <ns> <bytes>\n` followed by exactly <bytes> of
-     *  payload on stdout — the framing the NativeEngine adapter
-     *  speaks (DESIGN.md §5). SNAPSHOT is STATE plus the scripted-
-     *  input cursor (`STATE_I <ops> <bytepos>`); RESTORE takes a
-     *  length-framed payload in the same line format (plus
-     *  `STATE_CYC <n>`) and overwrites state, cycle, and input
-     *  cursor in O(state). The one-shot `simulator [cycles]` entry
-     *  point is kept unchanged. */
+    /** C++ only: emit the in-process engine ABI and build a shared
+     *  object. The unit then carries, instead of `main`, the
+     *  `extern "C"` entry points codegen/native.hh NativeAbi names
+     *  (create/destroy/reset/run/state copy), with I/O and trace
+     *  routed through a host callback table; compileSpec() builds it
+     *  with `-fPIC -shared` and loads it. */
     bool emitServeLoop = false;
 
     /** ALU shift-left semantics baked into the generated dologic. */
@@ -126,11 +118,12 @@ class CodegenContext
 std::string generatePascal(const ResolvedSpec &rs,
                            const CodegenOptions &opts = {});
 
-/** Generate the equivalent standalone C++ program. The program takes
+/** Generate the equivalent C++ program. The standalone program takes
  *  the cycle count as argv[1] (defaulting to the spec's `=` value),
  *  runs `cycles+1` loop iterations exactly like the thesis' Pascal,
  *  writes trace/I/O to stdout, and prints `SIM_NS=<ns>` (the simulation
- *  loop's own duration) to stderr. */
+ *  loop's own duration) to stderr. With opts.emitServeLoop the unit is
+ *  the in-process engine instead (see CodegenOptions). */
 std::string generateCpp(const ResolvedSpec &rs,
                         const CodegenOptions &opts = {});
 

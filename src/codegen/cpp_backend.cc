@@ -1,7 +1,6 @@
 #include "codegen/cpp_backend.hh"
 
-#include <sstream>
-
+#include "codegen/native.hh"
 #include "support/bitops.hh"
 
 namespace asim {
@@ -16,13 +15,10 @@ CppBackend::expr(const ResolvedExpr &e) const
     return ctx_.renderExpr(e, "/");
 }
 
-std::string
-CppBackend::pf() const
+bool
+CppBackend::engineShell() const
 {
-    // Serve-capable builds buffer simulation output per protocol
-    // command; one-shot builds write stdout directly (and stay
-    // byte-identical to the pre-serve generator).
-    return opts_.emitServeLoop ? "xprintf" : "std::printf";
+    return opts_.emitServeLoop;
 }
 
 void
@@ -30,16 +26,18 @@ CppBackend::emitHeader()
 {
     ln("// Generated by asim2c from specification:");
     ln("//#" + rs_.spec.comment);
-    ln("// Compile with: g++ -O2 -fwrapv");
-    ln("#include <chrono>");
-    ln("#include <cstdint>");
-    ln("#include <cstdio>");
-    ln("#include <cstdlib>");
-    if (opts_.emitServeLoop) {
-        ln("#include <cctype>");
-        ln("#include <cstdarg>");
+    ln(engineShell() ? "// Compile with: g++ -O2 -fwrapv -fPIC -shared"
+                     : "// Compile with: g++ -O2 -fwrapv");
+    if (engineShell()) {
+        ln("#include <csetjmp>");
+        ln("#include <cstdint>");
+        ln("#include <cstdio>");
         ln("#include <cstring>");
-        ln("#include <string>");
+    } else {
+        ln("#include <chrono>");
+        ln("#include <cstdint>");
+        ln("#include <cstdio>");
+        ln("#include <cstdlib>");
     }
     ln("");
 }
@@ -47,94 +45,74 @@ CppBackend::emitHeader()
 void
 CppBackend::emitState()
 {
+    ln("// Machine state: every combinational output in slot order,");
+    ln("// then per memory its output, address and operation latches");
+    ln("// and its cells (the flat layout of the engine ABI's state");
+    ln("// copies). A trivial type: its owner zero-initializes it.");
+    ln("struct State");
+    ln("{");
     for (int slot = 0; slot < rs_.numVarSlots; ++slot)
-        ln("static int32_t " + ctx_.varName(slot) + " = 0;");
+        ln("    int32_t " + ctx_.varName(slot) + ";");
     for (const auto &m : rs_.mems) {
-        ln("static int32_t " + ctx_.memArrayName(m.index) + "[" +
+        ln("    int32_t " + ctx_.tempName(m.index) + ", adr" + m.name +
+           ", opn" + m.name + ";");
+        ln("    int32_t " + ctx_.memArrayName(m.index) + "[" +
            std::to_string(m.size) + "];");
-        ln("static int32_t " + ctx_.tempName(m.index) + " = 0, adr" +
-           m.name + " = 0, opn" + m.name + " = 0;");
     }
+    ln("};");
     ln("");
 }
 
 void
-CppBackend::emitServeHelpers()
+CppBackend::emitMachine()
 {
-    ln("// --serve protocol plumbing: command-scoped output buffer");
-    ln("// and a scripted input buffer replacing stdin (stdin carries");
-    ln("// protocol commands in serve mode).");
-    ln("static bool servemode = false;");
-    ln("static std::string servein;");
-    ln("static size_t serveinpos = 0;");
-    ln("static long long serveinops = 0;");
-    ln("static std::string serveout;");
-    ln("");
-    ln("static void");
-    ln("vappend(std::string &out, const char *fmt, va_list ap)");
+    if (engineShell()) {
+        raw(R"c(// Host callbacks: IoDevice::input/output and the TraceSink
+// events, one to one (codegen/native.hh NativeHost).
+struct asim_host
+{
+    void *ctx;
+    int32_t (*input)(void *ctx, int32_t address);
+    void (*output)(void *ctx, int32_t address, int32_t data);
+    void (*begin_cycle)(void *ctx, long long cycle);
+    void (*value)(void *ctx, const char *name, int32_t v);
+    void (*end_cycle)(void *ctx);
+    void (*mem_write)(void *ctx, const char *mem, int32_t adr, int32_t v);
+    void (*mem_read)(void *ctx, const char *mem, int32_t adr, int32_t v);
+};
+
+)c");
+    }
+    ln("struct Machine : State");
     ln("{");
-    ln("    va_list ap2;");
-    ln("    va_copy(ap2, ap);");
-    ln("    char tmp[512];");
-    ln("    int n = std::vsnprintf(tmp, sizeof tmp, fmt, ap2);");
-    ln("    va_end(ap2);");
-    ln("    if (n <= 0)");
-    ln("        return;");
-    ln("    if (n < (int)sizeof tmp) {");
-    ln("        out.append(tmp, (size_t)n);");
-    ln("        return;");
-    ln("    }");
-    ln("    std::string big((size_t)n + 1, '\\0');");
-    ln("    std::vsnprintf(&big[0], big.size(), fmt, ap);");
-    ln("    big.resize((size_t)n);");
-    ln("    out += big;");
-    ln("}");
-    ln("");
-    ln("static void");
-    ln("xprintf(const char *fmt, ...)");
-    ln("{");
-    ln("    va_list ap;");
-    ln("    va_start(ap, fmt);");
-    ln("    if (servemode)");
-    ln("        vappend(serveout, fmt, ap);");
-    ln("    else");
-    ln("        std::vprintf(fmt, ap);");
-    ln("    va_end(ap);");
-    ln("}");
-    ln("");
-    ln("static int");
-    ln("inchar()");
-    ln("{");
-    ln("    if (!servemode)");
-    ln("        return std::getchar();");
-    ln("    if (serveinpos >= servein.size())");
-    ln("        return -1;");
-    ln("    ++serveinops;");
-    ln("    return (unsigned char)servein[serveinpos++];");
-    ln("}");
-    ln("");
-    ln("static long");
-    ln("inint()");
-    ln("{");
-    ln("    if (!servemode) {");
-    ln("        long v = 0;");
-    ln("        if (std::scanf(\"%ld\", &v) != 1)");
-    ln("            v = 0;");
-    ln("        return v;");
-    ln("    }");
-    ln("    while (serveinpos < servein.size() &&");
-    ln("           std::isspace((unsigned char)servein[serveinpos]))");
-    ln("        ++serveinpos;");
-    ln("    char *end = nullptr;");
-    ln("    long v = std::strtol(servein.c_str() + serveinpos, &end,");
-    ln("                         10);");
-    ln("    if (end == servein.c_str() + serveinpos)");
-    ln("        return 0;");
-    ln("    serveinpos = (size_t)(end - servein.c_str());");
-    ln("    ++serveinops;");
-    ln("    return v;");
-    ln("}");
-    ln("");
+    if (engineShell()) {
+        ln("    const asim_host *host;");
+        ln("    std::jmp_buf fault;");
+        ln("    char msg[512];");
+        ln("");
+    }
+    if (opts_.emitStateDump && !engineShell())
+        ln("    void dumpstate();");
+    raw(R"c(    void initvalues();
+    int32_t dologic(int32_t funct, int32_t left, int32_t right);
+    void docycle(long long cyclecount);
+
+    // I/O, trace and fault hooks, defined by the entry shell.
+    int32_t sinput(int32_t address);
+    void soutput(int32_t address, int32_t data);
+    void tbegin(long long cycle);
+    void tvalue(const char *name, int32_t v);
+    void tend();
+    void twrite(const char *mem, int32_t adr, int32_t v);
+    void tread(const char *mem, int32_t adr, int32_t v);
+    [[noreturn]] void adrfail(const char *mem, int32_t adr, int32_t size,
+                              long long cycle);
+    [[noreturn]] void selfail(const char *sel, int32_t idx, int32_t cases,
+                              long long cycle);
+    [[noreturn]] void alufail(int32_t funct);
+};
+
+)c");
 }
 
 void
@@ -146,8 +124,8 @@ CppBackend::emitHelpers()
     ln("    return (int32_t)((uint32_t)a & (uint32_t)b);");
     ln("}");
     ln("");
-    ln("static int32_t");
-    ln("dologic(int32_t funct, int32_t left, int32_t right)");
+    ln("int32_t");
+    ln("Machine::dologic(int32_t funct, int32_t left, int32_t right)");
     ln("{");
     ln("    const int32_t mask = " + std::to_string(kValueMask) + ";");
     ln("    int32_t value = 0;");
@@ -185,107 +163,160 @@ CppBackend::emitHelpers()
     ln("      case 12: value = left == right ? 1 : 0; break;");
     ln("      case 13: value = left < right ? 1 : 0; break;");
     ln("      default:");
-    ln("        std::fprintf(stderr,");
-    ln("                     \"ALU function %d out of range 0..13\\n\",");
-    ln("                     (int)funct);");
-    ln("        std::exit(2);");
+    ln("        alufail(funct);");
     ln("    }");
     ln("    return value;");
     ln("}");
     ln("");
-    ln("static int32_t");
-    ln("sinput(int32_t address)");
-    ln("{");
-    if (opts_.emitServeLoop) {
-        ln("    if (address == 0) {");
-        ln("        int c = inchar();");
-        ln("        return c < 0 ? 0 : c;");
-        ln("    }");
-        ln("    if (address != 1)");
-        ln("        xprintf(\"Input from address %d: \", (int)address);");
-        ln("    return (int32_t)inint();");
-    } else {
-        ln("    if (address == 0) {");
-        ln("        int c = std::getchar();");
-        ln("        return c < 0 ? 0 : c;");
-        ln("    }");
-        ln("    if (address != 1)");
-        ln("        std::printf(\"Input from address %d: \", (int)address);");
-        ln("    long v = 0;");
-        ln("    if (std::scanf(\"%ld\", &v) != 1)");
-        ln("        v = 0;");
-        ln("    return (int32_t)v;");
+}
+
+void
+CppBackend::emitStandaloneHooks()
+{
+    // stdio in the thesis text formats, exactly as the engines'
+    // StreamIo and StreamTrace render them.
+    raw(R"c(int32_t
+Machine::sinput(int32_t address)
+{
+    if (address == 0) {
+        int c = std::getchar();
+        return c < 0 ? 0 : c;
     }
-    ln("}");
-    ln("");
-    ln("static void");
-    ln("soutput(int32_t address, int32_t data)");
-    ln("{");
-    ln("    if (address == 0)");
-    ln("        " + pf() + "(\"%c\\n\", (char)(data & 0xff));");
-    ln("    else if (address == 1)");
-    ln("        " + pf() + "(\"%d\\n\", (int)data);");
-    ln("    else");
-    ln("        " + pf() + "(\"Output to address %d: %d\\n\",");
-    ln("                    (int)address, (int)data);");
-    ln("}");
-    ln("");
-    ln("static void");
-    ln("adrfail(const char *mem, int32_t adr, long long cycle)");
-    ln("{");
-    ln("    std::fprintf(stderr,");
-    ln("                 \"memory %s address %d out of range \"");
-    ln("                 \"(cycle %lld)\\n\", mem, (int)adr, cycle);");
-    ln("    std::exit(2);");
-    ln("}");
-    ln("");
-    ln("static void");
-    ln("selfail(const char *sel, int32_t idx, long long cycle)");
-    ln("{");
-    ln("    std::fprintf(stderr,");
-    ln("                 \"selector %s index %d out of range \"");
-    ln("                 \"(cycle %lld)\\n\", sel, (int)idx, cycle);");
-    ln("    std::exit(2);");
-    ln("}");
-    ln("");
+    if (address != 1)
+        std::printf("Input from address %d: ", (int)address);
+    long v = 0;
+    if (std::scanf("%ld", &v) != 1)
+        v = 0;
+    return (int32_t)v;
+}
+
+void
+Machine::soutput(int32_t address, int32_t data)
+{
+    if (address == 0)
+        std::printf("%c\n", (char)(data & 0xff));
+    else if (address == 1)
+        std::printf("%d\n", (int)data);
+    else
+        std::printf("Output to address %d: %d\n",
+                    (int)address, (int)data);
+}
+
+void Machine::tbegin(long long cycle) { std::printf("Cycle %3lld", cycle); }
+void Machine::tvalue(const char *name, int32_t v)
+{
+    std::printf(" %s= %d", name, (int)v);
+}
+void Machine::tend() { std::printf("\n"); }
+void Machine::twrite(const char *mem, int32_t adr, int32_t v)
+{
+    std::printf("Write to %s at %d: %d\n", mem, (int)adr, (int)v);
+}
+void Machine::tread(const char *mem, int32_t adr, int32_t v)
+{
+    std::printf("Read from %s at %d: %d\n", mem, (int)adr, (int)v);
+}
+
+void
+Machine::adrfail(const char *mem, int32_t adr, int32_t, long long cycle)
+{
+    std::fprintf(stderr, "memory %s address %d out of range (cycle %lld)\n",
+                 mem, (int)adr, cycle);
+    std::exit(2);
+}
+
+void
+Machine::selfail(const char *sel, int32_t idx, int32_t, long long cycle)
+{
+    std::fprintf(stderr, "selector %s index %d out of range (cycle %lld)\n",
+                 sel, (int)idx, cycle);
+    std::exit(2);
+}
+
+void
+Machine::alufail(int32_t funct)
+{
+    std::fprintf(stderr, "ALU function %d out of range 0..13\n", (int)funct);
+    std::exit(2);
+}
+
+)c");
+}
+
+void
+CppBackend::emitEngineHooks()
+{
+    // Faults format exactly the messages the in-process engines
+    // throw, then unwind to asim_run's setjmp.
+    raw(R"c(int32_t
+Machine::sinput(int32_t address)
+{
+    return host->input(host->ctx, address);
+}
+
+void
+Machine::soutput(int32_t address, int32_t data)
+{
+    host->output(host->ctx, address, data);
+}
+
+void Machine::tbegin(long long cycle) { host->begin_cycle(host->ctx, cycle); }
+void Machine::tvalue(const char *name, int32_t v)
+{
+    host->value(host->ctx, name, v);
+}
+void Machine::tend() { host->end_cycle(host->ctx); }
+void Machine::twrite(const char *mem, int32_t adr, int32_t v)
+{
+    host->mem_write(host->ctx, mem, adr, v);
+}
+void Machine::tread(const char *mem, int32_t adr, int32_t v)
+{
+    host->mem_read(host->ctx, mem, adr, v);
+}
+
+void
+Machine::adrfail(const char *mem, int32_t adr, int32_t size, long long cycle)
+{
+    std::snprintf(msg, sizeof msg,
+                  "memory %s address %d outside 0..%d (cycle %lld)", mem,
+                  (int)adr, (int)size - 1, cycle);
+    std::longjmp(fault, 1);
+}
+
+void
+Machine::selfail(const char *sel, int32_t idx, int32_t cases, long long cycle)
+{
+    std::snprintf(msg, sizeof msg,
+                  "selector %s index %d outside its %d cases (cycle %lld)",
+                  sel, (int)idx, (int)cases, cycle);
+    std::longjmp(fault, 1);
+}
+
+void
+Machine::alufail(int32_t funct)
+{
+    std::snprintf(msg, sizeof msg, "ALU function %d out of range 0..13",
+                  (int)funct);
+    std::longjmp(fault, 1);
+}
+
+)c");
 }
 
 void
 CppBackend::emitInitValues()
 {
-    ln("static void");
-    ln("initvalues()");
+    ln("void");
+    ln("Machine::initvalues()");
     ln("{");
     for (const auto &m : rs_.mems) {
         const std::string arr = ctx_.memArrayName(m.index);
-        if (m.init.empty())
-            continue;
         for (size_t i = 0; i < m.init.size(); ++i) {
             ln("    " + arr + "[" + std::to_string(i) +
                "] = " + std::to_string(m.init[i]) + ";");
         }
     }
-    ln("}");
-    ln("");
-}
-
-void
-CppBackend::emitResetState()
-{
-    ln("static void");
-    ln("resetstate()");
-    ln("{");
-    for (int slot = 0; slot < rs_.numVarSlots; ++slot)
-        ln("    " + ctx_.varName(slot) + " = 0;");
-    for (const auto &m : rs_.mems) {
-        ln("    for (long i = 0; i < " + std::to_string(m.size) +
-           "; ++i)");
-        ln("        " + ctx_.memArrayName(m.index) + "[i] = 0;");
-        ln("    " + ctx_.tempName(m.index) + " = 0;");
-        ln("    adr" + m.name + " = 0;");
-        ln("    opn" + m.name + " = 0;");
-    }
-    ln("    initvalues();");
     ln("}");
     ln("");
 }
@@ -363,22 +394,21 @@ CppBackend::emitSelector(const CombComp &c)
            expr(c.cases[i]) + "; break;");
     }
     ln("      default:");
-    ln("        selfail(\"" + c.name + "\", " + expr(c.select) +
-       ", cyclecount);");
+    ln("        selfail(\"" + c.name + "\", " + expr(c.select) + ", " +
+       std::to_string(c.cases.size()) + ", cyclecount);");
     ln("    }");
 }
 
 void
 CppBackend::emitTraceLine()
 {
-    ln("    " + pf() + "(\"Cycle %3lld\", cyclecount);");
+    ln("    tbegin(cyclecount);");
     for (const auto &item : rs_.traceList) {
         std::string v = item.isMem ? ctx_.tempName(item.slot)
                                    : ctx_.varName(item.slot);
-        ln("    " + pf() + "(\" " + item.name + "= %d\", (int)" + v +
-           ");");
+        ln("    tvalue(\"" + item.name + "\", " + v + ");");
     }
-    ln("    " + pf() + "(\"\\n\");");
+    ln("    tend();");
 }
 
 void
@@ -400,7 +430,7 @@ CppBackend::emitMemoryUpdate(const MemDesc &m)
     const std::string size = std::to_string(m.size);
     const std::string check = "if ((uint32_t)" + adr + " >= " + size +
                               "u) adrfail(\"" + m.name + "\", " + adr +
-                              ", cyclecount);";
+                              ", " + size + ", cyclecount);";
 
     if (m.opnConst && opts_.specializeConstMem) {
         switch (land(m.opnValue, 3)) {
@@ -453,12 +483,10 @@ CppBackend::emitMemoryTraces(const MemDesc &m)
     const std::string adr = "adr" + m.name;
     const std::string opn = "opn" + m.name;
 
-    const std::string wr = pf() + "(\"Write to " + m.name +
-                           " at %d: %d\\n\", (int)" + adr + ", (int)" +
-                           temp + ");";
-    const std::string rd = pf() + "(\"Read from " + m.name +
-                           " at %d: %d\\n\", (int)" + adr + ", (int)" +
-                           temp + ");";
+    const std::string args =
+        "(\"" + m.name + "\", " + adr + ", " + temp + ");";
+    const std::string wr = "twrite" + args;
+    const std::string rd = "tread" + args;
 
     switch (m.traceWrites) {
       case MemDesc::TraceMode::Always:
@@ -487,8 +515,8 @@ CppBackend::emitMemoryTraces(const MemDesc &m)
 void
 CppBackend::emitDoCycle()
 {
-    ln("static void");
-    ln("docycle(long long cyclecount)");
+    ln("void");
+    ln("Machine::docycle(long long cyclecount)");
     ln("{");
     if (rs_.comb.empty() && !opts_.emitTrace)
         ln("    (void)cyclecount;");
@@ -515,263 +543,119 @@ CppBackend::emitDoCycle()
 void
 CppBackend::emitStateDump()
 {
-    // In serve builds the dump rides the protocol response buffer;
-    // one-shot builds print it to stderr after the loop.
-    auto emit = [&](const std::string &fmtAndArgs,
-                    const std::string &indent = "    ") {
-        if (opts_.emitServeLoop)
-            ln(indent + "dpf(" + fmtAndArgs + ");");
-        else
-            ln(indent + "std::fprintf(stderr, " + fmtAndArgs + ");");
-    };
-
-    if (opts_.emitServeLoop) {
-        ln("static void");
-        ln("dpf(const char *fmt, ...)");
-        ln("{");
-        ln("    va_list ap;");
-        ln("    va_start(ap, fmt);");
-        ln("    if (servemode)");
-        ln("        vappend(serveout, fmt, ap);");
-        ln("    else");
-        ln("        std::vfprintf(stderr, fmt, ap);");
-        ln("    va_end(ap);");
-        ln("}");
-        ln("");
-    }
-    ln("static void");
-    ln("dumpstate()");
+    ln("void");
+    ln("Machine::dumpstate()");
     ln("{");
     for (int slot = 0; slot < rs_.numVarSlots; ++slot) {
-        emit("\"STATE_V " + std::to_string(slot) + " %d\\n\", (int)" +
-             ctx_.varName(slot));
+        ln("    std::fprintf(stderr, \"STATE_V " + std::to_string(slot) +
+           " %d\\n\", (int)" + ctx_.varName(slot) + ");");
     }
     for (const auto &m : rs_.mems) {
         const std::string idx = std::to_string(m.index);
-        emit("\"STATE_M " + idx + " %d %d %d\\n\", (int)" +
-             ctx_.tempName(m.index) + ", (int)adr" + m.name +
-             ", (int)opn" + m.name);
+        ln("    std::fprintf(stderr, \"STATE_M " + idx +
+           " %d %d %d\\n\", (int)" + ctx_.tempName(m.index) +
+           ", (int)adr" + m.name + ", (int)opn" + m.name + ");");
         ln("    for (long i = 0; i < " + std::to_string(m.size) +
            "; ++i)");
-        emit("\"STATE_C " + idx + " %ld %d\\n\", i, (int)" +
-                 ctx_.memArrayName(m.index) + "[i]",
-             "        ");
+        ln("        std::fprintf(stderr, \"STATE_C " + idx +
+           " %ld %d\\n\", i, (int)" + ctx_.memArrayName(m.index) +
+           "[i]);");
     }
-    emit("\"STATE_END\\n\"");
+    ln("    std::fprintf(stderr, \"STATE_END\\n\");");
     ln("}");
     ln("");
 }
 
 void
-CppBackend::emitRestoreState()
+CppBackend::emitEngineAbi()
 {
-    // The RESTORE command's payload parser: the inverse of
-    // dumpstate(), same line formats plus the cycle counter and the
-    // scripted-input cursor. Every index and cursor is bounds-checked
-    // against the statically known shape; any unknown line, bad
-    // index, or missing STATE_END rejects the whole payload (the
-    // serve loop answers ERR and the adapter abandons the child).
-    ln("static bool");
-    ln("restorestate(const std::string &blob, long long *cyc)");
-    ln("{");
-    ln("    size_t pos = 0;");
-    ln("    bool complete = false;");
-    ln("    while (pos < blob.size()) {");
-    ln("        const char *line = blob.c_str() + pos;");
-    ln("        char *end = nullptr;");
-    ln("        if (std::strncmp(line, \"STATE_V \", 8) == 0) {");
-    ln("            long slot = std::strtol(line + 8, &end, 10);");
-    ln("            long v = std::strtol(end, &end, 10);");
-    ln("            switch (slot) {");
-    for (int slot = 0; slot < rs_.numVarSlots; ++slot) {
-        ln("              case " + std::to_string(slot) + ": " +
-           ctx_.varName(slot) + " = (int32_t)v; break;");
+    const size_t words = nativeStateWords(rs_);
+
+    ln("// The engine ABI (codegen/native.hh NativeAbi). Every engine");
+    ln("// instance owns one Machine; nothing here is shared mutable.");
+    ln("static const size_t kStateWords = " + std::to_string(words) +
+       ";");
+    if (words > 0) {
+        ln("static_assert(sizeof(State) == kStateWords * sizeof(int32_t),");
+        ln("              \"State must be the flat int32 layout\");");
     }
-    ln("              default: (void)v; return false;");
-    ln("            }");
-    ln("        } else if (std::strncmp(line, \"STATE_M \", 8) == 0) {");
-    ln("            long idx = std::strtol(line + 8, &end, 10);");
-    ln("            long t = std::strtol(end, &end, 10);");
-    ln("            long a = std::strtol(end, &end, 10);");
-    ln("            long o = std::strtol(end, &end, 10);");
-    ln("            switch (idx) {");
-    for (const auto &m : rs_.mems) {
-        ln("              case " + std::to_string(m.index) + ":");
-        ln("                " + ctx_.tempName(m.index) +
-           " = (int32_t)t;");
-        ln("                adr" + m.name + " = (int32_t)a;");
-        ln("                opn" + m.name + " = (int32_t)o;");
-        ln("                break;");
-    }
-    ln("              default: (void)t; (void)a; (void)o;");
-    ln("                return false;");
-    ln("            }");
-    ln("        } else if (std::strncmp(line, \"STATE_C \", 8) == 0) {");
-    ln("            long idx = std::strtol(line + 8, &end, 10);");
-    ln("            long cell = std::strtol(end, &end, 10);");
-    ln("            long v = std::strtol(end, &end, 10);");
-    ln("            switch (idx) {");
-    for (const auto &m : rs_.mems) {
-        ln("              case " + std::to_string(m.index) + ":");
-        ln("                if (cell < 0 || cell >= " +
-           std::to_string(m.size) + ")");
-        ln("                    return false;");
-        ln("                " + ctx_.memArrayName(m.index) +
-           "[cell] = (int32_t)v;");
-        ln("                break;");
-    }
-    ln("              default: (void)cell; (void)v; return false;");
-    ln("            }");
-    ln("        } else if (std::strncmp(line, \"STATE_I \", 8) == 0) {");
-    ln("            long long ops = std::strtoll(line + 8, &end, 10);");
-    ln("            long long bp = std::strtoll(end, nullptr, 10);");
-    ln("            if (ops < 0 || bp < 0 ||");
-    ln("                (size_t)bp > servein.size())");
-    ln("                return false;");
-    ln("            serveinops = ops;");
-    ln("            serveinpos = (size_t)bp;");
-    ln("        } else if (std::strncmp(line, \"STATE_CYC \", 10)");
-    ln("                   == 0) {");
-    ln("            *cyc = std::strtoll(line + 10, nullptr, 10);");
-    ln("            if (*cyc < 0)");
-    ln("                return false;");
-    ln("        } else if (std::strncmp(line, \"STATE_END\", 9) == 0) {");
-    ln("            complete = true;");
-    ln("        } else {");
-    ln("            return false;");
-    ln("        }");
-    ln("        size_t nl = blob.find('\\n', pos);");
-    ln("        pos = nl == std::string::npos ? blob.size() : nl + 1;");
-    ln("    }");
-    ln("    return complete;");
-    ln("}");
-    ln("");
+    raw(R"c(
+extern "C" void *
+asim_create(const asim_host *host)
+{
+    Machine *m = new Machine();
+    m->host = host;
+    m->initvalues();
+    return m;
 }
 
-void
-CppBackend::emitServeLoop()
+extern "C" void
+asim_destroy(void *m)
 {
-    ln("static void");
-    ln("respond(const char *status, long long cyc, long long ns)");
-    ln("{");
-    ln("    std::printf(\"%s %lld %lld %zu\\n\", status, cyc, ns,");
-    ln("                serveout.size());");
-    ln("    if (!serveout.empty())");
-    ln("        std::fwrite(serveout.data(), 1, serveout.size(),");
-    ln("                    stdout);");
-    ln("    std::fflush(stdout);");
-    ln("    serveout.clear();");
-    ln("}");
-    ln("");
-    ln("static int");
-    ln("serve()");
-    ln("{");
-    ln("    resetstate();");
-    ln("    long long cyc = 0;");
-    ln("    char line[128];");
-    ln("    while (std::fgets(line, sizeof line, stdin)) {");
-    ln("        if (std::strncmp(line, \"RUN \", 4) == 0) {");
-    ln("            long long n = std::atoll(line + 4);");
-    ln("            auto t0 = std::chrono::steady_clock::now();");
-    ln("            for (long long i = 0; i < n; ++i, ++cyc)");
-    ln("                docycle(cyc);");
-    ln("            auto t1 = std::chrono::steady_clock::now();");
-    ln("            respond(\"OK\", cyc,");
-    ln("                    (long long)std::chrono::duration_cast<");
-    ln("                        std::chrono::nanoseconds>(t1 - t0)");
-    ln("                        .count());");
-    ln("        } else if (std::strncmp(line, \"INPUT \", 6) == 0) {");
-    ln("            size_t n = (size_t)std::atoll(line + 6);");
-    ln("            servein.assign(n, '\\0');");
-    ln("            if (n != 0 &&");
-    ln("                std::fread(&servein[0], 1, n, stdin) != n)");
-    ln("                return 3;");
-    ln("            serveinpos = 0;");
-    ln("            respond(\"OK\", cyc, 0);");
-    ln("        } else if (std::strncmp(line, \"RESET\", 5) == 0) {");
-    ln("            resetstate();");
-    ln("            cyc = 0;");
-    ln("            serveinpos = 0;");
-    ln("            serveinops = 0;");
-    ln("            serveout.clear();");
-    ln("            respond(\"OK\", 0, 0);");
-    ln("        } else if (std::strncmp(line, \"SNAPSHOT\", 8) == 0) {");
-    if (opts_.emitStateDump) {
-        ln("            dpf(\"STATE_I %lld %zu\\n\", serveinops,");
-        ln("                serveinpos);");
-        ln("            dumpstate();");
-        ln("            respond(\"OK\", cyc, 0);");
-    } else {
-        ln("            xprintf(\"built without state dump\\n\");");
-        ln("            respond(\"ERR\", cyc, 0);");
-    }
-    ln("        } else if (std::strncmp(line, \"RESTORE \", 8) == 0) {");
-    ln("            size_t n = (size_t)std::atoll(line + 8);");
-    ln("            std::string blob(n, '\\0');");
-    ln("            if (n != 0 &&");
-    ln("                std::fread(&blob[0], 1, n, stdin) != n)");
-    ln("                return 3;");
-    ln("            long long newcyc = cyc;");
-    ln("            if (restorestate(blob, &newcyc)) {");
-    ln("                cyc = newcyc;");
-    ln("                respond(\"OK\", cyc, 0);");
-    ln("            } else {");
-    ln("                xprintf(\"bad restore payload\\n\");");
-    ln("                respond(\"ERR\", cyc, 0);");
-    ln("            }");
-    ln("        } else if (std::strncmp(line, \"STATE\", 5) == 0) {");
-    if (opts_.emitStateDump) {
-        ln("            dumpstate();");
-        ln("            respond(\"OK\", cyc, 0);");
-    } else {
-        ln("            xprintf(\"built without state dump\\n\");");
-        ln("            respond(\"ERR\", cyc, 0);");
-    }
-    ln("        } else if (std::strncmp(line, \"STATS\", 5) == 0) {");
-    ln("            xprintf(\"CYCLES=%lld\\n\", cyc);");
-    ln("            respond(\"OK\", cyc, 0);");
-    ln("        } else if (std::strncmp(line, \"QUIT\", 4) == 0) {");
-    ln("            respond(\"OK\", cyc, 0);");
-    ln("            return 0;");
-    ln("        } else {");
-    ln("            xprintf(\"unknown command: %s\", line);");
-    ln("            respond(\"ERR\", cyc, 0);");
-    ln("        }");
-    ln("    }");
-    ln("    return 0;");
-    ln("}");
-    ln("");
+    delete static_cast<Machine *>(m);
+}
+
+extern "C" void
+asim_reset(void *p)
+{
+    Machine *m = static_cast<Machine *>(p);
+    std::memset(static_cast<State *>(m), 0, kStateWords * sizeof(int32_t));
+    m->initvalues();
+}
+
+// Runs n cycles from *cycle, advancing it per completed cycle; returns
+// nullptr, or the fault message with *cycle left at the faulting cycle.
+extern "C" const char *
+asim_run(void *p, uint64_t *cycle, uint64_t n)
+{
+    Machine *m = static_cast<Machine *>(p);
+    if (setjmp(m->fault))
+        return m->msg;
+    for (const uint64_t end = *cycle + n; *cycle < end; ++*cycle)
+        m->docycle((long long)*cycle);
+    return nullptr;
+}
+
+extern "C" void
+asim_get_state(const void *p, int32_t *out)
+{
+    const State *s = static_cast<const Machine *>(p);
+    std::memcpy(out, s, kStateWords * sizeof(int32_t));
+}
+
+extern "C" void
+asim_set_state(void *p, const int32_t *in)
+{
+    State *s = static_cast<Machine *>(p);
+    std::memcpy(s, in, kStateWords * sizeof(int32_t));
+}
+)c");
 }
 
 void
 CppBackend::emitMain()
 {
+    ln("static Machine machine;");
+    ln("");
     ln("int");
     ln("main(int argc, char **argv)");
     ln("{");
-    if (opts_.emitServeLoop) {
-        ln("    if (argc > 1 && std::strcmp(argv[1], \"--serve\") "
-           "== 0) {");
-        ln("        servemode = true;");
-        ln("        return serve();");
-        ln("    }");
-    }
     ln("    long long cycles = " + std::to_string(rs_.spec.cycles) +
        ";");
     ln("    if (argc > 1)");
     ln("        cycles = std::atoll(argv[1]);");
-    ln("    initvalues();");
+    ln("    machine.initvalues();");
     ln("    auto t0 = std::chrono::steady_clock::now();");
     ln("    for (long long cyclecount = 0; cyclecount <= cycles;");
     ln("         ++cyclecount)");
-    ln("        docycle(cyclecount);");
+    ln("        machine.docycle(cyclecount);");
     ln("    auto t1 = std::chrono::steady_clock::now();");
     ln("    std::fflush(stdout);");
     ln("    std::fprintf(stderr, \"SIM_NS=%lld\\n\",");
     ln("        (long long)std::chrono::duration_cast<");
     ln("            std::chrono::nanoseconds>(t1 - t0).count());");
     if (opts_.emitStateDump)
-        ln("    dumpstate();");
+        ln("    machine.dumpstate();");
     ln("    return 0;");
     ln("}");
 }
@@ -782,20 +666,21 @@ CppBackend::generate()
     out_.clear();
     emitHeader();
     emitState();
-    if (opts_.emitServeLoop)
-        emitServeHelpers();
+    emitMachine();
     emitHelpers();
+    if (engineShell())
+        emitEngineHooks();
+    else
+        emitStandaloneHooks();
     emitInitValues();
-    if (opts_.emitServeLoop)
-        emitResetState();
     emitDoCycle();
-    if (opts_.emitStateDump)
-        emitStateDump();
-    if (opts_.emitServeLoop) {
-        emitRestoreState();
-        emitServeLoop();
+    if (engineShell()) {
+        emitEngineAbi();
+    } else {
+        if (opts_.emitStateDump)
+            emitStateDump();
+        emitMain();
     }
-    emitMain();
     return out_;
 }
 

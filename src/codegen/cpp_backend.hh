@@ -2,28 +2,33 @@
  * @file
  * C++ backend.
  *
- * Emits a standalone, dependency-free C++ translation unit with the
- * same structure as the thesis' generated Pascal (variables per
+ * Emits a dependency-free C++ translation unit with the same
+ * structure as the thesis' generated Pascal (a variable per
  * combinational output; temp/adr/opn latches and a cell array per
  * memory; land/dologic/sinput/soutput helpers; the per-cycle body in
- * one flat docycle() function). Output formats (trace lines,
- * memory-mapped I/O) match the library engines byte-for-byte so the
- * three execution systems can be compared directly.
+ * one flat docycle() function). The machine state lives in one
+ * `State` struct whose members keep those names, and docycle() is a
+ * member of `Machine : State`, so the emitted expressions read exactly
+ * like the thesis' globals. Output formats (trace lines, memory-mapped
+ * I/O) match the library engines byte-for-byte so the three execution
+ * systems can be compared directly.
  *
- * With CodegenOptions::emitServeLoop the unit additionally carries
- * the persistent `--serve` command loop (INPUT/RUN/RESET/STATE/
- * SNAPSHOT/RESTORE/STATS/QUIT with length-framed responses) that the
- * NativeEngine adapter drives over pipes — see DESIGN.md §5.
- * SNAPSHOT extends the STATE dump with the scripted-input cursor;
- * RESTORE overwrites the whole machine state, cycle counter, and
- * input cursor from a length-framed payload in the same line format,
- * making adapter-side restore O(state) instead of replay-from-zero.
- * The one-shot `simulator [cycles]` entry point is unchanged either
- * way.
+ * One cycle body serves two entry shells, which differ only in how
+ * the I/O, trace and fault hooks are defined:
  *
- * Compile the output with `g++ -O2 -fwrapv` — the library's value
- * model is wrapping 32-bit two's-complement arithmetic, and -fwrapv
- * makes the emitted `+`/`-`/`*` expressions implement it exactly.
+ *  - the standalone program (default): `simulator [cycles]` on stdio,
+ *    the paper's ASIM II artifact;
+ *  - with CodegenOptions::emitServeLoop, the in-process engine ABI
+ *    (codegen/native.hh NativeAbi): `extern "C"` create/destroy/
+ *    reset/run/state-copy entry points, I/O and trace through a host
+ *    callback table, and runtime faults returned from run() with the
+ *    in-process engines' messages. Built as a shared object and
+ *    loaded by the native engine (sim/native_engine.hh).
+ *
+ * Compile the output with `g++ -O2 -fwrapv` (plus `-fPIC -shared` for
+ * the engine shell) — the library's value model is wrapping 32-bit
+ * two's-complement arithmetic, and -fwrapv makes the emitted
+ * `+`/`-`/`*` expressions implement it exactly.
  */
 
 #ifndef ASIM_CODEGEN_CPP_BACKEND_HH
@@ -44,13 +49,14 @@ class CppBackend
 
   private:
     std::string expr(const ResolvedExpr &e) const;
-    std::string pf() const;
+    bool engineShell() const;
     void emitHeader();
     void emitState();
-    void emitServeHelpers();
+    void emitMachine();
     void emitHelpers();
+    void emitStandaloneHooks();
+    void emitEngineHooks();
     void emitInitValues();
-    void emitResetState();
     void emitAlu(const CombComp &c);
     void emitSelector(const CombComp &c);
     void emitTraceLine();
@@ -59,8 +65,7 @@ class CppBackend
     void emitMemoryTraces(const MemDesc &m);
     void emitDoCycle();
     void emitStateDump();
-    void emitRestoreState();
-    void emitServeLoop();
+    void emitEngineAbi();
     void emitMain();
 
     const ResolvedSpec &rs_;
@@ -69,6 +74,7 @@ class CppBackend
     std::string out_;
 
     void ln(const std::string &s) { out_ += s; out_ += '\n'; }
+    void raw(const char *text) { out_ += text; }
 };
 
 } // namespace asim

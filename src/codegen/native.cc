@@ -9,6 +9,9 @@
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <type_traits>
+
+#include <dlfcn.h>
 
 #include "codegen/cpp_backend.hh"
 #include "support/logging.hh"
@@ -72,7 +75,43 @@ optionsFingerprint(const CodegenOptions &o)
     return fnv1a64(o.programName, bits);
 }
 
+/** dlopen an engine build's shared object and resolve its ABI. */
+void
+loadEngine(NativeBuild &build)
+{
+    void *handle =
+        dlopen(build.binaryPath.c_str(), RTLD_NOW | RTLD_LOCAL);
+    if (!handle) {
+        throw SimError("cannot load " + build.binaryPath + ": " +
+                       dlerror());
+    }
+    build.library.reset(handle, [](void *h) { dlclose(h); });
+    auto sym = [&](auto &fn, const char *name) {
+        void *p = dlsym(handle, name);
+        if (!p) {
+            throw SimError(build.binaryPath + " lacks the engine " +
+                           "entry point " + name);
+        }
+        fn = reinterpret_cast<std::remove_reference_t<decltype(fn)>>(p);
+    };
+    sym(build.abi.create, "asim_create");
+    sym(build.abi.destroy, "asim_destroy");
+    sym(build.abi.reset, "asim_reset");
+    sym(build.abi.run, "asim_run");
+    sym(build.abi.getState, "asim_get_state");
+    sym(build.abi.setState, "asim_set_state");
+}
+
 } // namespace
+
+size_t
+nativeStateWords(const ResolvedSpec &rs)
+{
+    size_t n = static_cast<size_t>(rs.numVarSlots);
+    for (const auto &m : rs.mems)
+        n += 3 + static_cast<size_t>(m.size);
+    return n;
+}
 
 bool
 hostCompilerAvailable()
@@ -102,12 +141,11 @@ compileSpec(const ResolvedSpec &rs, const CodegenOptions &opts,
     NativeBuild build;
     build.workDir = workDir;
     build.ownsWorkDir = madeTemp;
+    const bool engine = opts.emitServeLoop;
     build.emitsTrace = opts.emitTrace;
-    build.emitsStateDump = opts.emitStateDump;
-    build.serveCapable = opts.emitServeLoop;
     build.aluSemantics = opts.aluSemantics;
     build.generatedPath = workDir + "/simulator.cc";
-    build.binaryPath = workDir + "/simulator";
+    build.binaryPath = workDir + (engine ? "/simulator.so" : "/simulator");
 
     compileCount.fetch_add(1, std::memory_order_relaxed);
 
@@ -119,14 +157,17 @@ compileSpec(const ResolvedSpec &rs, const CodegenOptions &opts,
 
     // Phase 2: host compile (Figure 5.1 "Pascal Compile").
     auto c0 = Clock::now();
-    int rc = shell("g++ -O2 -fwrapv -o '" + build.binaryPath + "' '" +
-                   build.generatedPath + "' > '" + workDir +
-                   "/compile.log' 2>&1");
+    int rc = shell(std::string("g++ -O2 -fwrapv ") +
+                   (engine ? "-fPIC -shared " : "") + "-o '" +
+                   build.binaryPath + "' '" + build.generatedPath +
+                   "' > '" + workDir + "/compile.log' 2>&1");
     build.compileSeconds = seconds(c0, Clock::now());
     if (rc != 0) {
         throw SimError("generated code failed to compile (see " +
                        workDir + "/compile.log)");
     }
+    if (engine)
+        loadEngine(build);
     return build;
 }
 

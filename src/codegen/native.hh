@@ -11,6 +11,7 @@
 #ifndef ASIM_CODEGEN_NATIVE_HH
 #define ASIM_CODEGEN_NATIVE_HH
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -19,27 +20,74 @@
 
 namespace asim {
 
+/** The host callback table an engine build calls back through: the
+ *  generated `asim_host`, field for field. `ctx` is passed back as
+ *  each callback's first argument. */
+struct NativeHost
+{
+    void *ctx = nullptr;
+    int32_t (*input)(void *ctx, int32_t address) = nullptr;
+    void (*output)(void *ctx, int32_t address, int32_t data) = nullptr;
+    void (*beginCycle)(void *ctx, long long cycle) = nullptr;
+    void (*value)(void *ctx, const char *name, int32_t v) = nullptr;
+    void (*endCycle)(void *ctx) = nullptr;
+    void (*memWrite)(void *ctx, const char *mem, int32_t adr,
+                     int32_t v) = nullptr;
+    void (*memRead)(void *ctx, const char *mem, int32_t adr,
+                    int32_t v) = nullptr;
+};
+
+/** The `extern "C"` entry points of a loaded engine build
+ *  (CodegenOptions::emitServeLoop). State copies use the flat layout
+ *  of the generated `State`: every combinational slot in order, then
+ *  per memory temp, adr, opn and its cells. */
+struct NativeAbi
+{
+    /** A fresh machine at its initial values; `host` must outlive
+     *  it. */
+    void *(*create)(const NativeHost *host) = nullptr;
+    void (*destroy)(void *machine) = nullptr;
+    /** Back to the initial values. */
+    void (*reset)(void *machine) = nullptr;
+    /** Run `n` cycles starting at `*cycle`, advancing it per
+     *  completed cycle. Returns nullptr, or a fault message (owned by
+     *  the machine) with `*cycle` at the faulting cycle. */
+    const char *(*run)(void *machine, uint64_t *cycle, uint64_t n) =
+        nullptr;
+    void (*getState)(const void *machine, int32_t *out) = nullptr;
+    void (*setState)(void *machine, const int32_t *in) = nullptr;
+};
+
+/** Number of int32 words in the flat state layout of NativeAbi. */
+size_t nativeStateWords(const ResolvedSpec &rs);
+
 /** A generated-and-compiled simulator on disk, reusable across runs
  *  (the expensive half of the pipeline, done once) — and, via
  *  compileSpecShared(), shareable read-only across a whole batch of
- *  engine instances that each talk to their own child process. */
+ *  engine instances that each create their own machine off one loaded
+ *  engine build. */
 struct NativeBuild
 {
     double generateSeconds = 0; ///< spec -> C++ text
     double compileSeconds = 0;  ///< host g++ invocation
     std::string workDir;        ///< artifact directory
     std::string generatedPath;  ///< the .cc file on disk
+    /** The standalone program, or an engine build's shared object. */
     std::string binaryPath;
 
     /** True when compileSpec created workDir itself (fresh temp
      *  dir); whoever owns the build removes it then. */
     bool ownsWorkDir = false;
 
-    /// @{ Codegen facts an adapter must agree with at run time.
-    bool emitsTrace = false;     ///< CodegenOptions::emitTrace
-    bool emitsStateDump = false; ///< CodegenOptions::emitStateDump
-    bool serveCapable = false;   ///< CodegenOptions::emitServeLoop
+    /// @{ Codegen facts an engine must agree with at run time.
+    bool emitsTrace = false; ///< CodegenOptions::emitTrace
     AluSemantics aluSemantics = AluSemantics::Thesis; ///< baked in
+    /// @}
+
+    /// @{ Engine builds only: the dlopen handle (closed with the last
+    /// copy) and the entry points resolved from it.
+    std::shared_ptr<void> library;
+    NativeAbi abi;
     /// @}
 };
 
@@ -70,12 +118,15 @@ struct NativeResult
 bool hostCompilerAvailable();
 
 /**
- * Generate C++ for `rs` and compile it with the host compiler.
+ * Generate C++ for `rs` and compile it with the host compiler; an
+ * engine build (opts.emitServeLoop) is compiled as a shared object
+ * and loaded.
  *
  * @param workDir directory for artifacts; empty = fresh temp dir
  *        (recorded in the returned NativeBuild::workDir — the caller
  *        owns cleanup)
- * @throws SimError if no compiler exists or compilation fails
+ * @throws SimError if no compiler exists, compilation fails, or an
+ *         engine build does not load
  */
 NativeBuild compileSpec(const ResolvedSpec &rs,
                         const CodegenOptions &opts = {},
@@ -85,8 +136,7 @@ NativeBuild compileSpec(const ResolvedSpec &rs,
  * compileSpec() wrapped for sharing: the returned pointer owns the
  * artifacts — when the last holder drops it, a temp-created workDir
  * is removed. A batch of NativeEngine instances holds one of these
- * and spawns one `--serve` child each off the single compiled
- * binary.
+ * and creates one machine each off the single loaded engine build.
  */
 std::shared_ptr<const NativeBuild>
 compileSpecShared(const ResolvedSpec &rs, const CodegenOptions &opts = {},

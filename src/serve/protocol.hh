@@ -17,10 +17,9 @@
  * flushes while more requests are already buffered), so interactive
  * stepping stops paying one socket round trip per step.
  *
- * The command vocabulary deliberately mirrors the native engine's
- * `--serve` child protocol (DESIGN.md §5): OPEN (upload+compile) —
- * RUN — VALUE/SNAPSHOT (state) — RESTORE — EVICT/CLOSE — STATS —
- * SHUTDOWN.
+ * The command vocabulary mirrors the Engine interface: OPEN
+ * (upload+compile) — RUN — VALUE/SNAPSHOT (state) — RESTORE —
+ * EVICT/CLOSE — STATS — METRICS — SHUTDOWN.
  */
 
 #ifndef ASIM_SERVE_PROTOCOL_HH
@@ -36,15 +35,12 @@ namespace asim::serve {
 
 /** Bumped on any incompatible wire change; HELLO carries it.
  *  v2: OPEN carries a u32 partition-lane count after the alu flag.
- *  v3: adds the METRICS opcode (observability scrape). v3 is a pure
- *  superset of v2: the server accepts HELLOs from kMinProtocolVersion
- *  up, and a v2 peer that never sends METRICS sees v2 behavior
- *  byte for byte. */
+ *  v3: adds the METRICS opcode (observability scrape). */
 inline constexpr uint32_t kProtocolVersion = 3;
 
 /** Oldest client HELLO the server still accepts (and oldest server
  *  HELLO-reply a client accepts). */
-inline constexpr uint32_t kMinProtocolVersion = 2;
+inline constexpr uint32_t kMinProtocolVersion = 3;
 
 /** HELLO magic, first field of every connection's first request. */
 inline constexpr std::string_view kHelloMagic = "ASRV";

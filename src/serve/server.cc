@@ -1,9 +1,8 @@
 #include "serve/server.hh"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
+#include <tuple>
 
 #include <unistd.h>
 
@@ -17,10 +16,9 @@ namespace asim::serve {
 
 namespace {
 
-/** Session .meta sidecar magic + version (DESIGN.md §9). */
+/** Session .meta sidecar magic + version (DESIGN.md §9); v2 added
+ *  the u32 partition-lane count after the alu flag. */
 constexpr std::string_view kMetaMagic = "ASRVMETA";
-// v2 appends a u32 partition-lane count after the alu flag; v1 files
-// (no field) read back as serial sessions.
 constexpr uint32_t kMetaVersion = 2;
 
 /** Session names become filename components under stateDir, so the
@@ -110,22 +108,13 @@ ServeServer::ServeServer(const ServeOptions &opts)
     if (opts_.tcpPort >= 0)
         tcpListener_ = listenTcp(static_cast<uint16_t>(opts_.tcpPort));
 
-    int fds[2];
-    if (::pipe(fds) != 0)
-        throw SimError(std::string("cannot create wake pipe: ") +
-                       std::strerror(errno));
-    wakeRead_ = fds[0];
-    wakeWrite_ = fds[1];
+    std::tie(wakeRead_, wakeWrite_) = wakePipe();
     nativeCompilesAtStart_ = nativeCompileCount();
 }
 
 ServeServer::~ServeServer()
 {
     stop(true);
-    if (wakeRead_ >= 0)
-        ::close(wakeRead_);
-    if (wakeWrite_ >= 0)
-        ::close(wakeWrite_);
 }
 
 void
@@ -137,8 +126,7 @@ ServeServer::start()
 void
 ServeServer::wake()
 {
-    char b = 'w';
-    [[maybe_unused]] ssize_t n = ::write(wakeWrite_, &b, 1);
+    wakeWrite_.writeAll("w");
 }
 
 uint16_t
@@ -228,7 +216,7 @@ void
 ServeServer::acceptLoop()
 {
     while (!stopping_) {
-        std::vector<int> fds{wakeRead_};
+        std::vector<int> fds{wakeRead_.fd()};
         std::vector<Socket *> listeners{nullptr};
         if (unixListener_.valid()) {
             fds.push_back(unixListener_.fd());
@@ -243,8 +231,7 @@ ServeServer::acceptLoop()
             break;
         if (idx == 0) {
             char buf[64];
-            [[maybe_unused]] ssize_t n =
-                ::read(wakeRead_, buf, sizeof(buf));
+            wakeRead_.readSome(buf, sizeof(buf));
         } else if (idx > 0) {
             Socket sock = acceptConnection(*listeners[idx]);
             if (sock.valid()) {
@@ -369,12 +356,9 @@ ServeServer::dispatchRequest(std::string_view body, Conn &conn)
                     magic + " v" + std::to_string(version));
             }
             conn.helloDone = true;
-            // Echo the client's version: an older peer sees exactly
-            // the handshake its own kProtocolVersion check expects.
-            conn.version = version;
             ByteWriter w;
             w.u8(static_cast<uint8_t>(Status::Ok));
-            w.u32(conn.version);
+            w.u32(kProtocolVersion);
             w.str("asim-serve");
             return std::move(w).take();
         }
@@ -399,8 +383,6 @@ ServeServer::dispatchRequest(std::string_view body, Conn &conn)
             return std::move(w).take();
         }
         case Op::Metrics: {
-            if (conn.version < 3)
-                return errorResponse("METRICS needs protocol v3");
             ByteWriter w;
             w.u8(static_cast<uint8_t>(Status::Ok));
             w.str(metricsJson());
@@ -478,10 +460,10 @@ ServeServer::sessionFromMeta(const std::string &name) const
     if (r.bytes(kMetaMagic.size(), "meta magic") != kMetaMagic)
         throw SimError(path + ": not a session meta file");
     uint32_t version = r.u32("meta version");
-    if (version > kMetaVersion) {
+    if (version != kMetaVersion) {
         throw SimError(path + ": meta version " +
                        std::to_string(version) +
-                       " is newer than this build supports (" +
+                       " is not supported (this build reads v" +
                        std::to_string(kMetaVersion) + ")");
     }
     auto s = std::make_shared<Session>();
@@ -492,8 +474,7 @@ ServeServer::sessionFromMeta(const std::string &name) const
     s->io = static_cast<SessionIo>(r.u8("meta io mode"));
     s->trace = r.u8("meta trace flag") != 0;
     s->aluFixed = r.u8("meta alu flag") != 0;
-    s->partitions =
-        version >= 2 ? r.u32("meta partitions") : 1;
+    s->partitions = r.u32("meta partitions");
     if (s->partitions == 0)
         s->partitions = 1;
     s->inputs = readInputs(r);

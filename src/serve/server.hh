@@ -13,8 +13,8 @@
  * Session lifecycle:
  *
  *   OPEN(name, spec, engine, ...) → a Simulation built through the
- *   ordinary facade (native sessions get their own subprocess
- *   sandbox; repeated native specs dedup through compileSpecCached).
+ *   ordinary facade (native sessions each create their own machine;
+ *   repeated native specs dedup through compileSpecCached).
  *   Session output (scripted I/O rendering + optional trace) is
  *   captured into a per-session buffer and streamed back as the
  *   delta of each RUN — byte-identical to a direct Simulation run
@@ -24,8 +24,8 @@
  *   `<stateDir>/<name>.ckpt` (sim/checkpoint.hh format v1) plus a
  *   `<name>.meta` sidecar carrying everything needed to rebuild the
  *   Simulation (spec text, engine, I/O script, cursors travel inside
- *   the checkpoint). A parked session holds no Simulation, no
- *   subprocess, and no buffers — zero RAM beyond the map entry — and
+ *   the checkpoint). A parked session holds no Simulation and no
+ *   buffers — zero RAM beyond the map entry — and
  *   any later command transparently resumes it. Because the park
  *   artifacts live on disk, OPEN after a daemon restart (even a
  *   SIGKILL) resumes parked sessions by name; graceful stop() parks
@@ -172,9 +172,6 @@ class ServeServer
         bool helloDone = false;
         bool dropAfterReply = false;
         bool shutdownAfterReply = false;
-        /** Negotiated protocol version (the client's HELLO version;
-         *  v2 peers get v2 behavior byte for byte). */
-        uint32_t version = kProtocolVersion;
     };
 
     void acceptLoop();
@@ -223,8 +220,8 @@ class ServeServer
     ServeOptions opts_;
     Socket unixListener_;
     Socket tcpListener_;
-    int wakeRead_ = -1;
-    int wakeWrite_ = -1;
+    Socket wakeRead_;
+    Socket wakeWrite_;
 
     std::thread acceptThread_;
     std::atomic<bool> stopping_{false};

@@ -25,6 +25,9 @@ Engine::reset()
     state_.reset(*rs_);
     stats_.reset();
     cycle_ = 0;
+    // A fresh start reads a scripted input from its beginning, as a
+    // restore of a cycle-0 snapshot would.
+    io_->seekInputs(0);
 }
 
 void

@@ -6,9 +6,9 @@
  *                   tables every cycle.
  *  - Vm           — the portable ASIM II analog: executes a compiled
  *                   bytecode program.
- *  - native codegen (codegen/native.hh) — the ASIM II pipeline proper:
- *    generated C++ compiled by the host compiler and run out of
- *    process.
+ *  - NativeEngine (sim/native_engine.hh) — the ASIM II pipeline
+ *    proper: generated C++ compiled by the host compiler and loaded
+ *    in process.
  *
  * All engines implement the identical cycle semantics (DESIGN.md §3)
  * and are cross-checked by equivalence property tests.
@@ -46,8 +46,8 @@ struct EngineConfig
     bool collectStats = true;
 };
 
-/** "This cursor field was not captured" (e.g. the byte cursor of an
- *  in-process snapshot, which has no byte-oriented script). */
+/** "This cursor field was not captured": the value every engine
+ *  writes to EngineSnapshot::ioBytes. */
 inline constexpr uint64_t kNoIoCursor = ~0ull;
 
 /** A complete capture of an engine's execution at a cycle boundary:
@@ -62,16 +62,13 @@ struct EngineSnapshot
     SimStats stats;
 
     /** Scripted input *values* consumed when the snapshot was taken
-     *  (IoDevice::inputsConsumed(), or the serve child's input-op
-     *  count); restore seeks the script here so the continuation
-     *  reads the same inputs an uninterrupted run would. */
+     *  (IoDevice::inputsConsumed()); restore seeks the script here so
+     *  the continuation reads the same inputs an uninterrupted run
+     *  would. */
     uint64_t ioValues = 0;
 
-    /** Byte position into an out-of-process engine's rendered stdin
-     *  text (the serve child's cursor); kNoIoCursor for in-process
-     *  snapshots. Restoring into a native engine prefers this and
-     *  falls back to skipping `ioValues` whitespace-separated tokens
-     *  of its own script. */
+    /** Unused: every engine leaves kNoIoCursor here. The field keeps
+     *  its place in checkpoint format v1. */
     uint64_t ioBytes = kNoIoCursor;
 };
 
@@ -94,29 +91,27 @@ class Engine
     virtual ~Engine() = default;
 
     /** Re-initialize all state ("All components are initialized to
-     *  zero...") and reset statistics and the cycle counter. */
+     *  zero...") and reset statistics, the cycle counter, and a
+     *  seekable input script. */
     virtual void reset();
 
     /** Execute exactly one cycle. @throws SimError on runtime faults */
     virtual void step() = 0;
 
-    /** Execute `cycles` cycles. Virtual so out-of-process engines can
-     *  advance in one batch instead of cycle by cycle. */
+    /** Execute `cycles` cycles. Virtual so engines can advance in one
+     *  batch instead of cycle by cycle. */
     virtual void run(uint64_t cycles);
 
     /** Capture state + cycle + statistics + input cursor for a later
      *  restore() (possibly in another engine or — serialized through
-     *  sim/checkpoint.hh — another process). Virtual so engines whose
-     *  authoritative cursor lives elsewhere (the native adapter's
-     *  child) can fill the I/O fields from their own source. */
-    virtual EngineSnapshot snapshot() const;
+     *  sim/checkpoint.hh — another process). */
+    EngineSnapshot snapshot() const;
 
     /** Adopt a snapshot taken from an engine running the same
-     *  specification — any engine, including across the process
-     *  boundary (the native adapter ships it to its child as one
-     *  RESTORE command): the continuation is cycle-for-cycle
-     *  identical to an uninterrupted run. @throws SimError when the
-     *  snapshot's shape does not match this specification */
+     *  specification — any engine: the continuation is
+     *  cycle-for-cycle identical to an uninterrupted run.
+     *  @throws SimError when the snapshot's shape does not match this
+     *  specification */
     virtual void restore(const EngineSnapshot &snap);
 
     /** Cycles executed since the last reset. */
@@ -153,11 +148,11 @@ class Engine
 
   protected:
     /** Hook for engines whose authoritative state lives elsewhere
-     *  (the native adapter's child process): called before every
-     *  read of state_ through the public accessors (state(),
-     *  value(), memCell(), snapshot()) so such engines can sync
-     *  state_ lazily instead of after every run(). In-process
-     *  engines keep state_ current and the default no-op. */
+     *  (native's generated state struct): called before every read
+     *  of state_ through the public accessors (state(), value(),
+     *  memCell(), snapshot()) so such engines can sync state_ lazily
+     *  instead of after every run(). The other engines keep state_
+     *  current and the default no-op. */
     virtual void refreshState() const {}
 
     /** Shape-check a snapshot against this engine's specification.

@@ -5,63 +5,37 @@
  * subclass, registered as "native" in the EngineRegistry so all three
  * of the paper's execution systems are interchangeable by name.
  *
- * The generated simulator runs out of process as a **persistent
- * child** speaking the `--serve` command protocol (DESIGN.md §5):
- * the binary is compiled once (or adopted pre-compiled from a batch,
- * Options::prebuilt), spawned lazily at the first command, and then
- * driven incrementally —
- * `run(n)` is one `RUN n` round trip advancing the child in place,
- * so stepping to cycle n costs O(n) total, not the O(n²) of the old
- * replay-from-zero adapter. The process boundary rules:
+ * The generated simulator runs in process: the engine build is a
+ * shared object (CodegenOptions::emitServeLoop) loaded once per
+ * NativeBuild, and each engine instance owns one machine created off
+ * it through the C ABI of codegen/native.hh (DESIGN.md §5):
  *
- *  - cycles: `RUN n` executes exactly n §3 cycles in the child and
- *    returns the output produced by those cycles as a framed
- *    payload; reset() is a `RESET` command (no respawn);
- *  - trace: the payload's "Cycle"/"Write to"/"Read from" lines are
- *    parsed and replayed into the configured TraceSink, in order;
- *  - I/O: inputs are scripted text (Options::stdinText) shipped to
- *    the child once per spawn via `INPUT` (RESET rewinds them);
- *    non-trace payload lines accumulate in output() and are echoed
- *    to Options::ioEcho as they arrive. EngineConfig::io must be
- *    null — a callback device cannot cross the process boundary;
- *  - state: fetched lazily. run() only marks state stale; the first
- *    observer (value(), memCell(), state(), snapshot()) issues a
- *    `SNAPSHOT` command and parses the dump (machine state plus the
- *    scripted-input cursor) back into the mirror, so per-cycle
- *    stepping does not pay a state transfer per step;
- *  - faults & crashes: a child that exits, is killed, or breaks the
- *    pipe mid-protocol surfaces as SimError; the engine stays at its
- *    last confirmed cycle and keeps serving the state it had fetched
- *    for it — but if the confirmed cycle's state was never fetched,
- *    state accessors throw rather than pair cycle() with an older
- *    mirror. A fresh reset() respawns the child and recovers;
- *  - restore() is protocol-native and O(state): the snapshot's
- *    machine state, cycle counter, and input cursor ship to the
- *    child as one length-framed `RESTORE` payload — no replay from
- *    cycle zero. Snapshots taken by *any* engine over the same spec
- *    restore here (a snapshot without a byte cursor positions the
- *    child's script by skipping the snapshot's count of consumed
- *    input values as whitespace-separated tokens, matching integer
- *    input; address-0 character-input histories are not portable
- *    across the process boundary — see sim/io.hh). A child that
- *    rejects the payload is terminated and the engine reports down
- *    until reset();
- *  - stats() counts cycles only; ALU/selector/memory counters do not
- *    cross the boundary (a restored snapshot's counters are adopted
- *    as-is).
+ *  - cycles: run(n) is one call into the generated cycle loop;
+ *  - I/O and trace: the generated code calls back into the
+ *    configured IoDevice and TraceSink, so native uses the same
+ *    NullIo/ScriptIo/StreamIo and trace sinks as every other engine;
+ *  - state: the machine's state struct is the authority while it
+ *    runs. The first observer after a run (value(), memCell(),
+ *    state(), snapshot()) copies it out into the Engine mirror; the
+ *    next run copies the mirror back in, so a caller may edit
+ *    state() between runs as with any engine;
+ *  - snapshot() and restore() are the Engine ones plus that copy;
+ *  - faults: a runtime fault raises SimError with the vm's message,
+ *    the cycle counter at the faulting cycle; reset() recovers;
+ *  - stats() counts cycles only; ALU/selector/memory counters are not
+ *    collected by generated code (a restored snapshot's counters are
+ *    adopted as-is).
  */
 
 #ifndef ASIM_SIM_NATIVE_ENGINE_HH
 #define ASIM_SIM_NATIVE_ENGINE_HH
 
-#include <cstdio>
-#include <iosfwd>
+#include <memory>
 #include <string>
-#include <string_view>
+#include <vector>
 
 #include "codegen/native.hh"
 #include "sim/engine.hh"
-#include "support/subprocess.hh"
 
 namespace asim {
 
@@ -72,39 +46,28 @@ class NativeEngine : public Engine
   public:
     struct Options
     {
-        /** Scripted input text for the generated program; shipped to
-         *  the child via the INPUT command on every spawn. */
-        std::string stdinText;
-
-        /** Stream receiving the program's non-trace output lines as
-         *  they arrive; nullptr discards them (they still accumulate
-         *  in output()). */
-        std::ostream *ioEcho = nullptr;
-
         /** Artifact directory; empty = fresh temp dir owned (and
          *  removed) by the engine. Ignored with `prebuilt`. */
         std::string workDir;
 
-        /** Code generation knobs; aluSemantics, emitTrace,
-         *  emitStateDump, and emitServeLoop are overridden from the
-         *  EngineConfig / protocol needs. Ignored with `prebuilt`. */
+        /** Code generation knobs; aluSemantics, emitTrace and
+         *  emitServeLoop are overridden from the EngineConfig.
+         *  Ignored with `prebuilt`. */
         CodegenOptions codegen;
 
-        /** Adopt an already-compiled serve-capable build instead of
+        /** Adopt an already-compiled engine build instead of
          *  compiling: a homogeneous batch compiles once and every
-         *  instance spawns its own child off this shared binary
-         *  (Simulation::shareBatchArtifacts). Must be serve-capable,
-         *  dump state, and emit trace whenever the EngineConfig
-         *  carries a trace sink. */
+         *  instance creates its own machine off this shared build
+         *  (Simulation::shareBatchArtifacts). Must be an engine build
+         *  and emit trace whenever the EngineConfig carries a trace
+         *  sink. */
         std::shared_ptr<const NativeBuild> prebuilt;
     };
 
-    /** Generates and host-compiles the simulator (unless
-     *  Options::prebuilt short-circuits that). The serve child
-     *  spawns lazily at the first command, so a batch constructs any
-     *  number of instances without holding a process per idle
-     *  instance. @throws SimError when no host compiler is available
-     *  or compilation fails */
+    /** Generates, host-compiles and loads the simulator (unless
+     *  Options::prebuilt short-circuits that), then creates this
+     *  instance's machine. @throws SimError when no host compiler is
+     *  available or compilation fails */
     NativeEngine(std::shared_ptr<const ResolvedSpec> rs,
                  const EngineConfig &cfg, Options opts);
     NativeEngine(const ResolvedSpec &rs, const EngineConfig &cfg,
@@ -117,84 +80,30 @@ class NativeEngine : public Engine
     {}
     ~NativeEngine() override;
 
+    NativeEngine(const NativeEngine &) = delete;
+    NativeEngine &operator=(const NativeEngine &) = delete;
+
     /** True if the host compiler needed by this engine exists. */
     static bool available() { return hostCompilerAvailable(); }
 
     void reset() override;
     void step() override { run(1); }
     void run(uint64_t cycles) override;
-    EngineSnapshot snapshot() const override;
     void restore(const EngineSnapshot &snap) override;
-
-    /** Total cycles this engine has asked its children to execute
-     *  via RUN commands (monotonic across reset()). The O(1)-restore
-     *  guarantee in cycle space: restore() never adds to it. */
-    uint64_t runCommandCycles() const { return runCommandCycles_; }
-
-    /** The program's non-trace stdout so far (memory-mapped output
-     *  and prompts, thesis text format). */
-    const std::string &output() const { return ioText_; }
-
-    /** The program's complete simulation output so far (trace + I/O
-     *  interleaved exactly as an in-process engine writing both to
-     *  one stream). */
-    const std::string &combinedOutput() const { return allOut_; }
 
     /** Generate/compile phase timings (Figure 5.1 rows). */
     const NativeBuild &build() const { return *build_; }
-
-    /** Wall time of the last RUN round trip. */
-    double lastRunSeconds() const { return lastRunSeconds_; }
-
-    /** The child's self-timed simulation-loop duration of the last
-     *  RUN (its per-command ns report). */
-    double lastSimSeconds() const { return lastSimSeconds_; }
-
-    /** Child process id (test hook; -1 until the first command
-     *  spawns the child, or after a failure reaps it). */
-    long childPid() const { return child_.pid(); }
-
-    /// @{ Crash-injection hooks for the fault-handling tests:
-    /// SIGKILL the child / break the command pipe mid-protocol.
-    void testKillChild() { child_.kill(); }
-    void testCloseCommandPipe() { child_.closeStdin(); }
-    /// @}
 
   protected:
     void refreshState() const override;
 
   private:
-    struct Reply
-    {
-        uint64_t cycle = 0;
-        double simSeconds = 0;
-        std::string payload;
-    };
-
-    void ensureChild();
-    void spawnChild();
-    Reply exchange(const std::string &cmd,
-                   std::string_view extra = {});
-    [[noreturn]] void childFailed(const std::string &what);
-    void ingest(std::string_view fresh);
-    void replayTraceLine(std::string_view line);
-    void replayMemLine(std::string_view line, bool write);
-    void parseStateDump(const std::string &dump);
-
-    Options opts_;
     std::shared_ptr<const NativeBuild> build_;
-    Subprocess child_;
-    FILE *errSpool_ = nullptr; ///< child stderr capture (tmpfile)
-    double lastRunSeconds_ = 0;
-    double lastSimSeconds_ = 0;
-    uint64_t runCommandCycles_ = 0;
-    std::string allOut_;   ///< simulation output consumed so far
-    std::string ioText_;   ///< non-trace subset of allOut_
-    bool midLine_ = false; ///< last consumed char was not a newline
-    bool down_ = false; ///< child failed; reset() required to respawn
-    mutable bool stateDirty_ = false; ///< state_ lags the child
-    mutable uint64_t ioOps_ = 0;   ///< child input ops (SNAPSHOT)
-    mutable uint64_t ioBytes_ = 0; ///< child script byte cursor
+    NativeHost host_;
+    void *machine_ = nullptr;
+    mutable std::vector<int32_t> flat_; ///< state copy buffer
+    mutable bool machineAhead_ = false; ///< state_ lags the machine
+    mutable bool mirrorOut_ = false; ///< state_ may differ from it
 };
 
 } // namespace asim

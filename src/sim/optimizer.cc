@@ -669,7 +669,10 @@ class Optimizer
                 la = lb[i + 1];
                 break;
             }
-            const auto defBit = static_cast<uint8_t>(1u << in.reg);
+            // Only scratch-register ops (reg 0..3) use defBit; memory
+            // ops keep flags in reg, which must not be shifted by.
+            const auto defBit =
+                static_cast<uint8_t>(in.reg < 8 ? 1u << in.reg : 0u);
             switch (in.op) {
               case Op::SetC:
               case Op::LoadVar:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "analysis/campaign.hh"
 #include "analysis/resolve.hh"
@@ -60,12 +59,10 @@ EngineRegistry::global()
                    return makeVm(rs, ctx.config, ctx.compiler);
                });
         r->add("native",
-               "generated C++ through the host compiler, run as a "
-               "persistent --serve subprocess (ASIM II pipeline)",
+               "generated C++ through the host compiler, loaded in "
+               "process as a shared object (ASIM II pipeline)",
                [](const SharedSpec &rs, const EngineContext &ctx) {
                    NativeEngine::Options no;
-                   no.stdinText = ctx.stdinText;
-                   no.ioEcho = ctx.ioEcho;
                    no.workDir = ctx.workDir;
                    no.prebuilt = ctx.nativeBuild;
                    no.codegen.inlineConstAlu =
@@ -80,15 +77,13 @@ EngineRegistry::global()
                        CodegenOptions cg = no.codegen;
                        cg.aluSemantics = ctx.config.aluSemantics;
                        cg.emitTrace = ctx.config.trace != nullptr;
-                       cg.emitStateDump = true;
                        cg.emitServeLoop = true;
                        no.prebuilt = compileSpecCached(
                            *rs, cg, specIdentityHash(*rs));
                    }
                    return std::make_unique<NativeEngine>(
                        rs, ctx.config, std::move(no));
-               },
-               /*outOfProcess=*/true);
+               });
         return r;
     }();
     return *reg;
@@ -96,11 +91,10 @@ EngineRegistry::global()
 
 void
 EngineRegistry::add(const std::string &name,
-                    const std::string &description, Factory factory,
-                    bool outOfProcess)
+                    const std::string &description, Factory factory)
 {
     auto [it, inserted] = entries_.try_emplace(
-        name, Entry{std::move(factory), description, outOfProcess});
+        name, Entry{std::move(factory), description});
     if (!inserted)
         throw SimError("engine <" + name + "> is already registered");
 }
@@ -109,13 +103,6 @@ bool
 EngineRegistry::contains(std::string_view name) const
 {
     return entries_.find(name) != entries_.end();
-}
-
-bool
-EngineRegistry::outOfProcess(std::string_view name) const
-{
-    auto it = entries_.find(name);
-    return it != entries_.end() && it->second.outOfProcess;
 }
 
 std::vector<std::pair<std::string, std::string>>
@@ -162,25 +149,6 @@ sourceCount(const SimulationOptions &opts)
 {
     return (opts.specFile.empty() ? 0 : 1) +
            (opts.specText.empty() ? 0 : 1) + (opts.resolved ? 1 : 0);
-}
-
-std::string
-renderStdin(const std::vector<int32_t> &inputs)
-{
-    std::string text;
-    for (int32_t v : inputs) {
-        text += std::to_string(v);
-        text += '\n';
-    }
-    return text;
-}
-
-std::string
-slurp(std::istream &in)
-{
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
 }
 
 } // namespace
@@ -318,28 +286,7 @@ Simulation::Simulation(const SimulationOptions &opts)
 
     std::ostream *out = opts.ioOut ? opts.ioOut : &std::cout;
 
-    if (reg.outOfProcess(engineName_)) {
-        if (ctx.config.io) {
-            throw SimError("engine <" + engineName_ +
-                           "> performs I/O over stdio; use ioMode "
-                           "instead of an IoDevice");
-        }
-        switch (opts.ioMode) {
-          case IoMode::Null:
-            break;
-          case IoMode::Interactive:
-            // Out-of-process runs consume their input up front; only
-            // an explicit stream is slurped (never std::cin).
-            if (opts.ioIn)
-                ctx.stdinText = slurp(*opts.ioIn);
-            ctx.ioEcho = out;
-            break;
-          case IoMode::Script:
-            ctx.stdinText = renderStdin(opts.scriptInputs);
-            ctx.ioEcho = out;
-            break;
-        }
-    } else if (!ctx.config.io) {
+    if (!ctx.config.io) {
         switch (opts.ioMode) {
           case IoMode::Null:
             break;
@@ -410,8 +357,8 @@ Simulation::shareBatchArtifacts(const SimulationOptions &opts,
                            tracingPossible));
     }
     if (shared.engine == "native" && !shared.nativeBuild) {
-        // One generated+host-compiled binary for the whole batch;
-        // each instance spawns its own --serve child off it. Routed
+        // One generated+host-compiled engine build for the whole
+        // batch; each instance creates its own machine off it. Routed
         // through the cross-job build cache (unless an explicit
         // workDir pins the artifacts), so repeated batches of the
         // same machine also share one compile.
@@ -420,7 +367,6 @@ Simulation::shareBatchArtifacts(const SimulationOptions &opts,
         cg.specializeConstMem = shared.compiler.specializeConstMem;
         cg.aluSemantics = shared.config.aluSemantics;
         cg.emitTrace = tracingPossible;
-        cg.emitStateDump = true;
         cg.emitServeLoop = true;
         tracing::Span span("sim.compile.native", "lifecycle");
         shared.nativeBuild =

@@ -10,7 +10,7 @@
  *  - EngineRegistry maps engine names to factories. Built-ins:
  *      "interp"   slot-resolved table interpreter (ASIM analog)
  *      "vm"       compiled bytecode VM (portable ASIM II analog)
- *      "native"   generated C++ + host compiler, out of process
+ *      "native"   generated C++ + host compiler, loaded in process
  *                 (the ASIM II pipeline proper)
  *      "symbolic" name-lookup interpreter (faithful ASIM baseline)
  *
@@ -57,19 +57,11 @@ struct EngineContext
      *  shares the immutable program across every instance). */
     std::shared_ptr<const Program> program;
 
-    /** Pre-compiled serve-capable simulator for the "native" engine;
-     *  when set, the factory adopts it instead of generating and
-     *  host-compiling — a batch compiles the binary once and every
-     *  instance spawns its own child process off it. Same provenance
-     *  rules as `program`. */
+    /** Pre-compiled engine build for the "native" engine; when set,
+     *  the factory adopts it instead of generating and host-compiling
+     *  — a batch compiles once and every instance creates its own
+     *  machine off it. Same provenance rules as `program`. */
     std::shared_ptr<const NativeBuild> nativeBuild;
-
-    /** Scripted stdin for out-of-process engines; in-process engines
-     *  receive their inputs through config.io instead. */
-    std::string stdinText;
-
-    /** Stream for non-trace output of out-of-process engines. */
-    std::ostream *ioEcho = nullptr;
 
     /** Artifact directory for engines that build binaries; empty
      *  means a fresh temporary directory owned by the engine. */
@@ -97,21 +89,11 @@ class EngineRegistry
      *  engines named in the file comment. */
     static EngineRegistry &global();
 
-    /**
-     * Register an engine.
-     *
-     * @param outOfProcess true when the engine executes outside this
-     *        process (I/O over stdio rather than an IoDevice); the
-     *        facade wires I/O accordingly
-     * @throws SimError on a duplicate name
-     */
+    /** Register an engine. @throws SimError on a duplicate name */
     void add(const std::string &name, const std::string &description,
-             Factory factory, bool outOfProcess = false);
+             Factory factory);
 
     bool contains(std::string_view name) const;
-
-    /** True for registered engines that run outside this process. */
-    bool outOfProcess(std::string_view name) const;
 
     /** All registered (name, description) pairs, sorted by name. */
     std::vector<std::pair<std::string, std::string>> list() const;
@@ -128,7 +110,6 @@ class EngineRegistry
     {
         Factory factory;
         std::string description;
-        bool outOfProcess = false;
     };
 
     [[noreturn]] void throwUnknown(std::string_view name) const;
@@ -144,9 +125,7 @@ enum class IoMode
     Null,
 
     /** Thesis-style stream I/O on ioIn/ioOut (default std::cin /
-     *  std::cout): prompts, char reads at address 0. Out-of-process
-     *  engines consume ioIn in full up front (set it to a string
-     *  stream; a truly interactive native run is not supported). */
+     *  std::cout): prompts, char reads at address 0. */
     Interactive,
 
     /** Scripted: inputs come from `scriptInputs`, outputs render in

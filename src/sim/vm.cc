@@ -167,6 +167,7 @@ Vm::runCycles(uint64_t n)
     const auto flush = [&] {
         cycle_ = cycle0 + (n - left);
         if (collect) {
+            aluEvals += (n - left) * prog_->foldedAlus;
             stats_.cycles += n - left;
             stats_.aluEvals += aluEvals;
             stats_.selEvals += selEvals;

@@ -20,7 +20,7 @@ namespace asim {
 namespace {
 
 /** A write to a disconnected peer must fail with EPIPE, never kill
- *  the process (same rule as support/subprocess.cc). */
+ *  the process. */
 void
 ignoreSigpipe()
 {
@@ -230,6 +230,17 @@ pollReadable(const std::vector<int> &fds, int timeoutMs)
             return static_cast<int>(i);
     }
     return -1;
+}
+
+std::pair<Socket, Socket>
+wakePipe()
+{
+    int fds[2];
+    if (::pipe(fds) != 0) {
+        throw SimError(std::string("cannot create wake pipe: ") +
+                       std::strerror(errno));
+    }
+    return {Socket(fds[0]), Socket(fds[1])};
 }
 
 } // namespace asim

@@ -6,14 +6,14 @@
  * primitives a framed request/response protocol needs (readSome /
  * writeAll); the free functions create listeners and connections
  * over Unix-domain paths and loopback TCP. The first listen/connect
- * installs a process-wide SIG_IGN for SIGPIPE (same discipline as
- * support/subprocess.hh) so a write to a disconnected peer fails
- * with EPIPE instead of killing the process.
+ * installs a process-wide SIG_IGN for SIGPIPE so a write to a
+ * disconnected peer fails with EPIPE instead of killing the
+ * process.
  *
  * Errors at creation time (bind, listen, connect) throw SimError
  * naming the endpoint; errors on an established socket are reported
  * by return value (false / <= 0) — the caller reaps the connection
- * and raises its own domain error, exactly like Subprocess.
+ * and raises its own domain error.
  */
 
 #ifndef ASIM_SUPPORT_SOCKET_HH
@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace asim {
@@ -111,6 +112,10 @@ Socket connectEndpoint(const std::string &endpoint);
  * or -1 on timeout. @param timeoutMs -1 waits forever
  */
 int pollReadable(const std::vector<int> &fds, int timeoutMs);
+
+/** A self-pipe {read end, write end}: a byte written to the second
+ *  wakes a pollReadable() loop watching the first. @throws SimError */
+std::pair<Socket, Socket> wakePipe();
 
 } // namespace asim
 

@@ -15,8 +15,10 @@ TEST(CppBackend, CounterShape)
 {
     ResolvedSpec rs = resolveText(counterSpec(4, 20));
     std::string code = generateCpp(rs);
-    EXPECT_TRUE(contains(code, "static int32_t ljbnext = 0;"));
-    EXPECT_TRUE(contains(code, "static int32_t ljbcount[1];"));
+    // State lives in one struct whose members keep the thesis names.
+    EXPECT_TRUE(contains(code, "struct State"));
+    EXPECT_TRUE(contains(code, "    int32_t ljbnext;"));
+    EXPECT_TRUE(contains(code, "    int32_t ljbcount[1];"));
     EXPECT_TRUE(contains(code, "land(int32_t a, int32_t b)"));
     EXPECT_TRUE(contains(code, "long long cycles = 20;"));
     EXPECT_TRUE(
@@ -28,10 +30,12 @@ TEST(CppBackend, TraceLineMatchesEngineFormat)
 {
     ResolvedSpec rs = resolveText(counterSpec(4, 20));
     std::string code = generateCpp(rs);
-    EXPECT_TRUE(
-        contains(code, "std::printf(\"Cycle %3lld\", cyclecount);"));
-    EXPECT_TRUE(contains(
-        code, "std::printf(\" count= %d\", (int)tempcount);"));
+    // The cycle body emits trace events; the standalone shell prints
+    // them in the engines' StreamTrace format.
+    EXPECT_TRUE(contains(code, "tbegin(cyclecount);"));
+    EXPECT_TRUE(contains(code, "tvalue(\"count\", tempcount);"));
+    EXPECT_TRUE(contains(code, "std::printf(\"Cycle %3lld\", cycle);"));
+    EXPECT_TRUE(contains(code, "std::printf(\" %s= %d\", name, (int)v);"));
 }
 
 TEST(CppBackend, NoTraceOption)
@@ -40,7 +44,7 @@ TEST(CppBackend, NoTraceOption)
     CodegenOptions opts;
     opts.emitTrace = false;
     std::string code = generateCpp(rs, opts);
-    EXPECT_FALSE(contains(code, "Cycle %3lld"));
+    EXPECT_FALSE(contains(code, "tbegin(cyclecount);"));
 }
 
 TEST(CppBackend, SelectorSwitchWithBoundsDefault)
@@ -97,64 +101,50 @@ TEST(CppBackend, StackMachineGeneratesLargeSwitchTables)
     std::string code = generateCpp(rs);
     // The 144-state microcode ROM becomes one big switch.
     EXPECT_GE(countOccurrences(code, "case "), 144);
-    EXPECT_TRUE(contains(code, "static int32_t ljbram[256];"));
+    EXPECT_TRUE(contains(code, "    int32_t ljbram[256];"));
 }
 
+/** CodegenOptions::emitServeLoop emits the in-process engine ABI. */
 TEST(CppBackend, ServeLoopShape)
 {
     ResolvedSpec rs = resolveText(counterSpec(4, 20));
     CodegenOptions opts;
     opts.emitServeLoop = true;
-    opts.emitStateDump = true;
     std::string code = generateCpp(rs, opts);
-    // The command dispatcher and its framing.
-    EXPECT_TRUE(contains(code, "--serve"));
-    for (const char *cmd :
-         {"\"RUN \"", "\"INPUT \"", "\"RESET\"", "\"STATE\"",
-          "\"SNAPSHOT\"", "\"RESTORE \"", "\"STATS\"", "\"QUIT\""})
-        EXPECT_TRUE(contains(code, cmd)) << cmd;
-    EXPECT_TRUE(contains(code, "respond(\"OK\""));
-    EXPECT_TRUE(contains(code, "resetstate();"));
-    EXPECT_TRUE(contains(code, "dumpstate();"));
-    // The checkpoint pair: SNAPSHOT extends the dump with the input
-    // cursor; RESTORE parses the same line formats back with every
-    // index bounds-checked.
-    EXPECT_TRUE(contains(code, "STATE_I"));
-    EXPECT_TRUE(contains(code, "restorestate(blob, &newcyc)"));
-    EXPECT_TRUE(contains(code, "\"STATE_CYC \""));
-    EXPECT_TRUE(contains(code, "bad restore payload"));
-    // Simulation output is buffered per command in serve builds...
-    EXPECT_TRUE(
-        contains(code, "xprintf(\"Cycle %3lld\", cyclecount);"));
-    // ...while the one-shot entry point survives unchanged.
-    EXPECT_TRUE(contains(code, "cycles = std::atoll(argv[1]);"));
+    // The C ABI codegen/native.hh resolves, and no main().
+    for (const char *fn :
+         {"asim_create(const asim_host *host)", "asim_destroy(void *m)",
+          "asim_reset(void *p)",
+          "asim_run(void *p, uint64_t *cycle, uint64_t n)",
+          "asim_get_state(const void *p, int32_t *out)",
+          "asim_set_state(void *p, const int32_t *in)"})
+        EXPECT_TRUE(contains(code, fn)) << fn;
+    EXPECT_FALSE(contains(code, "main(int argc"));
+    // One next var + count's temp/adr/opn + its one cell.
+    EXPECT_TRUE(contains(code, "kStateWords = 5;"));
+    // The cycle body is the standalone one; only the hooks differ.
+    EXPECT_TRUE(contains(code, "ljbnext = land(tempcount, 15) + 1;"));
+    EXPECT_TRUE(contains(code, "tvalue(\"count\", tempcount);"));
+    EXPECT_TRUE(contains(code, "host->value(host->ctx, name, v);"));
+    // Faults carry the in-process engines' messages.
+    EXPECT_TRUE(contains(code, "outside 0..%d (cycle %lld)"));
+    EXPECT_TRUE(contains(code, "std::longjmp(fault, 1);"));
 }
 
 TEST(CppBackend, OneShotBuildsCarryNoServePlumbing)
 {
     ResolvedSpec rs = resolveText(counterSpec(4, 20));
     std::string code = generateCpp(rs);
-    EXPECT_FALSE(contains(code, "--serve"));
-    EXPECT_FALSE(contains(code, "xprintf"));
-    EXPECT_FALSE(contains(code, "servemode"));
-    EXPECT_FALSE(contains(code, "restorestate"));
-}
-
-TEST(CppBackend, ServeStateDumpRidesTheResponseBuffer)
-{
-    ResolvedSpec rs = resolveText(counterSpec(4, 20));
-    CodegenOptions opts;
-    opts.emitServeLoop = true;
-    opts.emitStateDump = true;
-    std::string code = generateCpp(rs, opts);
-    EXPECT_TRUE(contains(code, "dpf(\"STATE_V "));
-    EXPECT_TRUE(contains(code, "dpf(\"STATE_END\\n\")"));
-    // One-shot state dumps still print to stderr.
-    CodegenOptions oneShot;
-    oneShot.emitStateDump = true;
-    std::string plain = generateCpp(rs, oneShot);
-    EXPECT_TRUE(
-        contains(plain, "std::fprintf(stderr, \"STATE_V "));
+    EXPECT_FALSE(contains(code, "asim_run"));
+    EXPECT_FALSE(contains(code, "asim_host"));
+    EXPECT_FALSE(contains(code, "longjmp"));
+    EXPECT_TRUE(contains(code, "cycles = std::atoll(argv[1]);"));
+    // The optional state dump prints to stderr after the loop.
+    CodegenOptions dump;
+    dump.emitStateDump = true;
+    std::string plain = generateCpp(rs, dump);
+    EXPECT_TRUE(contains(plain, "std::fprintf(stderr, \"STATE_V "));
+    EXPECT_TRUE(contains(plain, "machine.dumpstate();"));
 }
 
 TEST(CppBackend, GeneratedCodeIsDeterministic)

@@ -523,7 +523,7 @@ TEST_F(Serve, StatsJsonCarriesUptimePeakAndPerOpcodeCounts)
 }
 
 // ---------------------------------------------------------------------
-// METRICS (protocol v3) and version negotiation.
+// METRICS (protocol v3) and version checks.
 // ---------------------------------------------------------------------
 
 TEST_F(Serve, MetricsRoundTripExposesTheRegistry)
@@ -558,55 +558,6 @@ TEST_F(Serve, MetricsRoundTripExposesTheRegistry)
     metrics::setTimingEnabled(wasTimed);
 }
 
-TEST_F(Serve, V2ClientNegotiatesAndIsRefusedMetrics)
-{
-    ServeServer server(serveOpts());
-    server.start();
-
-    // Hand-rolled v2 handshake: the server must echo version 2 (the
-    // reply an old client's `version != kProtocolVersion` check
-    // accepts) and answer ERR to the v3-only METRICS opcode.
-    FrameChannel ch(connectEndpoint(sock_));
-    ByteWriter hello;
-    hello.u8(static_cast<uint8_t>(Op::Hello));
-    hello.str(std::string(kHelloMagic));
-    hello.u32(2);
-    ASSERT_TRUE(ch.writeFrame(hello.data()));
-    std::string resp;
-    ASSERT_TRUE(ch.readFrame(resp));
-    {
-        ByteReader r(resp, "hello reply");
-        EXPECT_EQ(r.u8("status"),
-                  static_cast<uint8_t>(Status::Ok));
-        EXPECT_EQ(r.u32("version"), 2u);
-    }
-
-    ByteWriter metricsReq;
-    metricsReq.u8(static_cast<uint8_t>(Op::Metrics));
-    ASSERT_TRUE(ch.writeFrame(metricsReq.data()));
-    ASSERT_TRUE(ch.readFrame(resp));
-    {
-        ByteReader r(resp, "metrics reply");
-        EXPECT_EQ(r.u8("status"),
-                  static_cast<uint8_t>(Status::Error));
-        EXPECT_NE(r.str("error").find("protocol v3"),
-                  std::string::npos);
-    }
-
-    // The connection survives; STATS still works at v2.
-    ByteWriter stats;
-    stats.u8(static_cast<uint8_t>(Op::Stats));
-    ASSERT_TRUE(ch.writeFrame(stats.data()));
-    ASSERT_TRUE(ch.readFrame(resp));
-    {
-        ByteReader r(resp, "stats reply");
-        EXPECT_EQ(r.u8("status"),
-                  static_cast<uint8_t>(Status::Ok));
-        EXPECT_NE(r.str("stats json").find("sessions_live"),
-                  std::string::npos);
-    }
-}
-
 TEST_F(Serve, UnsupportedHelloVersionIsRejected)
 {
     ServeServer server(serveOpts());
@@ -616,7 +567,7 @@ TEST_F(Serve, UnsupportedHelloVersionIsRejected)
     ByteWriter hello;
     hello.u8(static_cast<uint8_t>(Op::Hello));
     hello.str(std::string(kHelloMagic));
-    hello.u32(1); // older than kMinProtocolVersion
+    hello.u32(2); // older than kMinProtocolVersion
     ASSERT_TRUE(ch.writeFrame(hello.data()));
     std::string resp;
     ASSERT_TRUE(ch.readFrame(resp));
@@ -627,8 +578,8 @@ TEST_F(Serve, UnsupportedHelloVersionIsRejected)
 }
 
 // ---------------------------------------------------------------------
-// Native sessions: per-session subprocess isolation, shared
-// compile cache across tenants.
+// Native sessions: one machine per session off one shared
+// compile, through the cache across tenants.
 // ---------------------------------------------------------------------
 
 class ServeNative : public Serve

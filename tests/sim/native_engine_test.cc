@@ -1,10 +1,10 @@
 /** @file
- * NativeEngine persistent-subprocess protocol tests: the child
- * survives across run()/reset(), crashes surface as SimError with
- * the engine at its last confirmed cycle and reset() recovering,
- * restore() is protocol-native (one RESTORE round trip, O(state) —
- * never a replay from cycle zero), and — the regression the
- * protocol exists to fix — stepping is incremental, not quadratic.
+ * NativeEngine in-process tests: runtime faults surface as SimError
+ * with the vm's message and reset() recovers, scripted input rewinds
+ * on reset and is positioned by restore, restore executes no cycles,
+ * stepping costs one call per step rather than a replay, and
+ * instances sharing one loaded build keep fully separate state even
+ * when they run concurrently.
  *
  * Skipped without a host compiler.
  */
@@ -13,7 +13,10 @@
 
 #include <chrono>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "analysis/resolve.hh"
 #include "machines/counter.hh"
@@ -44,6 +47,13 @@ const char *kFaultSpec = "# walks off the end of mem\n"
                          "M mem count count 1 10\n"
                          ".\n";
 
+const char *kEchoSpec = "# integer echo\n"
+                        "= 4\n"
+                        "in out .\n"
+                        "M in 1 0 2 1\n"
+                        "M out 1 in 3 1\n"
+                        ".\n";
+
 class NativeEngineTest : public ::testing::Test
 {
   protected:
@@ -62,209 +72,173 @@ class NativeEngineTest : public ::testing::Test
     }
 };
 
-TEST_F(NativeEngineTest, OneChildServesManyRunsAndResets)
+/** The fault message and cycle an engine reports within its next
+ *  `cycles` cycles (an empty message when it runs them all). */
+std::pair<std::string, uint64_t>
+faultOf(Engine &e, uint64_t cycles)
 {
-    auto ep = counterEngine();
-    NativeEngine &e = *ep;
-    EXPECT_EQ(e.childPid(), -1)
-        << "construction must not spawn (lazy: batches hold no "
-           "process per idle instance)";
-    e.run(3);
-    long pid = e.childPid();
-    EXPECT_GT(pid, 0);
-    e.run(4);
-    EXPECT_EQ(e.cycle(), 7u);
-    EXPECT_EQ(e.value("count"), 7);
-    EXPECT_EQ(e.childPid(), pid) << "run() must not respawn";
-    e.reset();
-    EXPECT_EQ(e.childPid(), pid) << "reset() is a protocol command";
-    EXPECT_EQ(e.cycle(), 0u);
-    EXPECT_EQ(e.value("count"), 0);
-    e.run(2);
-    EXPECT_EQ(e.value("count"), 2);
-}
-
-TEST_F(NativeEngineTest, KilledChildThrowsKeepsCycleAndResetRecovers)
-{
-    auto ep = counterEngine();
-    NativeEngine &e = *ep;
-    e.run(5);
-    EXPECT_EQ(e.value("count"), 5);
-    long pid = e.childPid();
-    e.testKillChild();
     try {
-        e.run(5);
-        FAIL() << "expected SimError from the killed child";
+        e.run(cycles);
     } catch (const SimError &err) {
-        EXPECT_NE(std::string(err.what()).find("cycle 5"),
-                  std::string::npos)
-            << err.what();
+        return {err.what(), e.cycle()};
     }
-    EXPECT_EQ(e.cycle(), 5u) << "last confirmed cycle";
-    EXPECT_EQ(e.value("count"), 5) << "last confirmed state";
-    // Still down until reset():
-    EXPECT_THROW(e.run(1), SimError);
-    e.reset();
-    EXPECT_NE(e.childPid(), pid) << "reset() must respawn";
-    e.run(3);
-    EXPECT_EQ(e.cycle(), 3u);
-    EXPECT_EQ(e.value("count"), 3);
-}
-
-TEST_F(NativeEngineTest, UnfetchedStateAfterCrashRefusesToGoStale)
-{
-    auto ep = counterEngine();
-    NativeEngine &e = *ep;
-    e.run(2);
-    EXPECT_EQ(e.value("count"), 2); // fetched: survives a crash
-    e.run(3); // state for cycle 5 is never fetched...
-    e.testKillChild();
-    // ...so after the crash, observers must throw rather than pair
-    // cycle()==5 with the stale cycle-2 mirror (first call detects
-    // the death, later ones hit the reaped-child path).
-    EXPECT_THROW(e.value("count"), SimError);
-    EXPECT_THROW(e.state(), SimError);
-    EXPECT_THROW(e.snapshot(), SimError);
-    EXPECT_EQ(e.cycle(), 5u);
-    e.reset();
-    e.run(1);
-    EXPECT_EQ(e.value("count"), 1);
-}
-
-TEST_F(NativeEngineTest, BrokenCommandPipeThrowsAndResetRecovers)
-{
-    auto ep = counterEngine();
-    NativeEngine &e = *ep;
-    e.run(4);
-    e.testCloseCommandPipe();
-    EXPECT_THROW(e.run(1), SimError);
-    EXPECT_EQ(e.cycle(), 4u);
-    e.reset();
-    e.run(6);
-    EXPECT_EQ(e.value("count"), 6);
+    return {"", e.cycle()};
 }
 
 TEST_F(NativeEngineTest, RuntimeFaultThrowsAndResetRecovers)
 {
-    NativeEngine e(resolveText(kFaultSpec), EngineConfig{});
-    e.run(8); // safely inside the 10-cell memory
-    EXPECT_EQ(e.cycle(), 8u);
-    int32_t confirmed = e.value("count");
-    EXPECT_THROW(e.run(50), SimError) << "must walk off the memory";
-    EXPECT_EQ(e.cycle(), 8u) << "cycle rolls back to last confirmed";
-    EXPECT_EQ(e.value("count"), confirmed);
-    e.reset();
-    e.run(8);
-    EXPECT_EQ(e.cycle(), 8u);
+    // A memory address, a selector index, and a dynamic ALU function
+    // out of range: the same message at the same cycle as the vm.
+    const char *specs[] = {
+        kFaultSpec,
+        "# badsel\n"
+        "inc count pick .\n"
+        "A inc 4 count 1\n"
+        "M count 0 inc 1 1\n"
+        "S pick count 10 20\n"
+        ".\n",
+        "# dynbad\n"
+        "inc count r .\n"
+        "A inc 4 count 1\n"
+        "M count 0 inc 1 1\n"
+        "A r count.0.4 1 1\n"
+        ".\n",
+    };
+    for (const char *spec : specs) {
+        ResolvedSpec rs = resolveText(spec);
+        auto vm = makeVm(rs);
+        const auto want = faultOf(*vm, 50);
+        ASSERT_FALSE(want.first.empty()) << spec;
+
+        NativeEngine e(rs, EngineConfig{});
+        e.run(1);
+        EXPECT_EQ(faultOf(e, 49), want) << spec;
+        EXPECT_EQ(e.stats().cycles, want.second);
+        e.reset();
+        e.run(1);
+        EXPECT_EQ(e.cycle(), 1u);
+        EXPECT_EQ(e.value("count"), 1) << "reset recovers";
+    }
 }
 
 TEST_F(NativeEngineTest, ScriptedInputRewindsOnReset)
 {
-    const char *echoSpec = "# integer echo\n"
-                           "= 4\n"
-                           "in out .\n"
-                           "M in 1 0 2 1\n"
-                           "M out 1 in 3 1\n"
-                           ".\n";
-    NativeEngine::Options opts;
-    opts.stdinText = "10\n20\n30\n40\n50\n";
-    NativeEngine e(resolveText(echoSpec), EngineConfig{},
-                   std::move(opts));
+    std::ostringstream os;
+    ScriptIo io({10, 20, 30, 40, 50}, os);
+    EngineConfig cfg;
+    cfg.io = &io;
+    NativeEngine e(resolveText(kEchoSpec), cfg);
     e.run(5);
-    EXPECT_EQ(e.output(), "10\n20\n30\n40\n50\n");
+    EXPECT_EQ(os.str(), "10\n20\n30\n40\n50\n");
+    os.str("");
     e.reset();
     e.run(2);
-    EXPECT_EQ(e.output(), "10\n20\n") << "reset rewinds the script";
+    EXPECT_EQ(os.str(), "10\n20\n") << "reset rewinds the script";
 }
 
-/** The O(1)-restore latency property, asserted in *cycle space* so
- *  it can never be wall-clock flaky: restoring a snapshot taken at
- *  cycle N must cost zero RUN-command cycles — the old adapter
- *  replayed all N. */
-TEST_F(NativeEngineTest, RestoreIsProtocolNativeNotReplay)
+/** Restore is a state copy, asserted in cycle space so it can never
+ *  be wall-clock flaky: restoring a snapshot taken at cycle N runs
+ *  no cycles (stats().cycles is adopted, not advanced). */
+TEST_F(NativeEngineTest, RestoreExecutesNoCycles)
 {
     auto ap = counterEngine();
     NativeEngine &a = *ap;
     a.run(1000);
     EngineSnapshot snap = a.snapshot();
+    EXPECT_EQ(snap.stats.cycles, 1000u);
+    EXPECT_EQ(snap.ioBytes, kNoIoCursor);
 
     auto bp = counterEngine();
     NativeEngine &b = *bp;
-    EXPECT_EQ(b.runCommandCycles(), 0u);
+    b.run(3);
+    EngineSnapshot early = b.snapshot();
     b.restore(snap);
-    EXPECT_EQ(b.runCommandCycles(), 0u)
-        << "restore() replayed cycles through RUN — the O(state) "
-           "RESTORE protocol path is gone";
+    EXPECT_EQ(b.stats().cycles, 1000u)
+        << "restore() executed cycles instead of copying state";
     EXPECT_EQ(b.cycle(), 1000u);
     EXPECT_EQ(b.value("count"), a.value("count"));
 
     // The continuation matches the uninterrupted engine.
     a.run(7);
     b.run(7);
+    EXPECT_EQ(b.stats().cycles, 1007u);
     EXPECT_EQ(b.value("count"), a.value("count"));
     EXPECT_TRUE(b.state() == a.state());
+
+    // And back to an earlier point.
+    b.restore(early);
+    EXPECT_EQ(b.stats().cycles, 3u);
+    EXPECT_EQ(b.value("count"), 3);
 }
 
 TEST_F(NativeEngineTest, RestorePositionsTheInputCursor)
 {
-    const char *echoSpec = "# integer echo\n"
-                           "= 4\n"
-                           "in out .\n"
-                           "M in 1 0 2 1\n"
-                           "M out 1 in 3 1\n"
-                           ".\n";
-    ResolvedSpec rs = resolveText(echoSpec);
-    NativeEngine::Options a;
-    a.stdinText = "1\n2\n3\n4\n5\n";
-    NativeEngine ea(rs, EngineConfig{}, std::move(a));
-    ea.run(3);
-    EngineSnapshot snap = ea.snapshot();
-    EXPECT_EQ(snap.ioValues, 3u);
-    EXPECT_NE(snap.ioBytes, kNoIoCursor);
-
-    // Same-script engine: the continuation picks up at value 4.
-    NativeEngine::Options c;
-    c.stdinText = "1\n2\n3\n4\n5\n";
-    NativeEngine ec(rs, EngineConfig{}, std::move(c));
-    ec.restore(snap);
-    EXPECT_EQ(ec.cycle(), 3u);
-    EXPECT_TRUE(ec.state() == snap.state);
-    ec.run(2);
-    EXPECT_EQ(ec.output(), "4\n5\n");
-
-    // A different-script engine adopts the state and the *cursor*:
-    // the continuation reads its own script from position 3 —
-    // exactly what an in-process engine with its own IoDevice does.
-    NativeEngine::Options b;
-    b.stdinText = "9\n9\n9\n9\n9\n";
-    NativeEngine eb(rs, EngineConfig{}, std::move(b));
-    eb.restore(snap);
-    eb.run(2);
-    EXPECT_EQ(eb.output(), "9\n9\n");
-}
-
-TEST_F(NativeEngineTest, RestoreRecoversADownedChild)
-{
-    auto ap = counterEngine();
-    NativeEngine &a = *ap;
-    a.run(6);
+    ResolvedSpec rs = resolveText(kEchoSpec);
+    std::ostringstream osA, osB;
+    ScriptIo ioA({1, 2, 3, 4, 5}, osA);
+    EngineConfig cfgA;
+    cfgA.io = &ioA;
+    NativeEngine a(rs, cfgA);
+    a.run(3);
     EngineSnapshot snap = a.snapshot();
-    a.testKillChild();
-    EXPECT_THROW(a.run(1), SimError);
-    // restore() is a full state overwrite: a valid recovery path
-    // without an intervening reset().
-    a.restore(snap);
-    EXPECT_EQ(a.cycle(), 6u);
-    a.run(2);
-    EXPECT_EQ(a.value("count"), 8);
+    EXPECT_EQ(snap.ioValues, 3u);
+
+    // A different-script engine adopts the state and the cursor: the
+    // continuation reads its own script from position 3.
+    ScriptIo ioB({9, 8, 7, 6, 5}, osB);
+    EngineConfig cfgB;
+    cfgB.io = &ioB;
+    NativeEngine b(rs, cfgB);
+    b.restore(snap);
+    EXPECT_EQ(b.cycle(), 3u);
+    EXPECT_TRUE(b.state() == snap.state);
+    b.run(2);
+    EXPECT_EQ(osB.str(), "6\n5\n");
 }
 
-/** The regression guard the whole protocol exists for: stepping N
- *  cycles must cost O(N) round trips, not O(N²) replayed cycles.
- *  Before the protocol, 1000 step() calls spawned 1000 processes and
- *  re-simulated ~500k cycles (seconds); now they are 1000 pipe round
- *  trips (milliseconds). The bound is the acceptance bar's 3x a
- *  single run(1000) plus an absolute floor absorbing round-trip
+/** An exception thrown by a host callback unwinds through the
+ *  generated code (built as C++ with exceptions) to the caller; the
+ *  cycle counter stays at the cycle in progress and reset()
+ *  recovers. */
+TEST_F(NativeEngineTest, CallbackExceptionsReachTheCaller)
+{
+    struct FailingIo : VectorIo
+    {
+        int32_t
+        input(int32_t address) override
+        {
+            if (inputsConsumed() == 2)
+                throw std::runtime_error("device unplugged");
+            return VectorIo::input(address);
+        }
+    } io;
+    for (int32_t v : {1, 2, 3, 4})
+        io.pushInput(v);
+    EngineConfig cfg;
+    cfg.io = &io;
+    NativeEngine e(resolveText(kEchoSpec), cfg);
+    EXPECT_THROW(e.run(4), std::runtime_error);
+    EXPECT_EQ(e.cycle(), 2u);
+    EXPECT_EQ(e.stats().cycles, 2u);
+    EXPECT_EQ(io.outputsAt(1), (std::vector<int32_t>{1, 2}));
+    e.reset();
+    EXPECT_THROW(e.run(4), std::runtime_error)
+        << "reset rewinds the device to the same failure";
+    EXPECT_EQ(e.cycle(), 2u);
+}
+
+TEST_F(NativeEngineTest, EditedStateReachesTheMachine)
+{
+    auto ep = counterEngine();
+    NativeEngine &e = *ep;
+    e.run(2);
+    e.state().mems[0].temp = 9; // count's output latch
+    e.run(1);
+    EXPECT_EQ(e.value("count"), 10);
+}
+
+/** Stepping N cycles costs N calls, not a replay per step. The bound
+ *  is 3x a single run(1000) plus an absolute floor absorbing per-call
  *  overhead on slow, loaded CI hosts. */
 TEST_F(NativeEngineTest, SteppingIsIncrementalNotQuadratic)
 {
@@ -285,9 +259,50 @@ TEST_F(NativeEngineTest, SteppingIsIncrementalNotQuadratic)
 
     EXPECT_EQ(stepped.cycle(), whole.cycle());
     EXPECT_TRUE(stepped.engine().state() == whole.engine().state());
-    EXPECT_LT(stepAll, 3.0 * runOnce + 0.5)
+    EXPECT_LT(stepAll, 3.0 * runOnce + 0.05)
         << "1000x step() took " << stepAll << "s vs run(1000) "
-        << runOnce << "s — quadratic replay is back?";
+        << runOnce << "s";
+}
+
+/** Two instances of one shared build, run interleaved on two threads,
+ *  end exactly where serial runs do: the generated code keeps no
+ *  mutable state outside each instance's machine. */
+TEST_F(NativeEngineTest, ConcurrentInstancesOfOneBuildMatchSerialRuns)
+{
+    // A 16-bit counter: the two run lengths end in different states,
+    // so a machine that leaked into its sibling would show.
+    auto rs = std::make_shared<const ResolvedSpec>(
+        resolveText(counterSpec(16, 100000)));
+    CodegenOptions cg;
+    cg.emitTrace = false;
+    cg.emitServeLoop = true;
+    NativeEngine::Options opts;
+    opts.prebuilt = compileSpecShared(*rs, cg);
+
+    const uint64_t cycles[2] = {3000, 4500};
+    MachineState serial[2];
+    for (int i = 0; i < 2; ++i) {
+        NativeEngine e(rs, EngineConfig{}, opts);
+        e.run(cycles[i]);
+        serial[i] = e.state();
+    }
+
+    NativeEngine a(rs, EngineConfig{}, opts);
+    NativeEngine b(rs, EngineConfig{}, opts);
+    ASSERT_EQ(&a.build(), &b.build());
+    auto drive = [](NativeEngine *e, uint64_t total) {
+        for (uint64_t done = 0; done < total; done += 3)
+            e->run(3);
+    };
+    std::thread ta(drive, &a, cycles[0]);
+    std::thread tb(drive, &b, cycles[1]);
+    ta.join();
+    tb.join();
+    EXPECT_EQ(a.cycle(), cycles[0]);
+    EXPECT_EQ(b.cycle(), cycles[1]);
+    EXPECT_TRUE(a.state() == serial[0]);
+    EXPECT_TRUE(b.state() == serial[1]);
+    EXPECT_FALSE(serial[0] == serial[1]);
 }
 
 } // namespace

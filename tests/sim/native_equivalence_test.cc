@@ -1,6 +1,6 @@
 /** @file
  * Native-engine equivalence leg (ROADMAP item): the "native" engine —
- * generated C++ compiled by the host compiler, run out of process —
+ * generated C++ compiled by the host compiler, loaded in process —
  * must match the "vm" engine byte-for-byte on every on-disk
  * specification: combined trace + I/O text, final machine state, and
  * cycle count. Engines are constructed exclusively by name through
@@ -67,8 +67,7 @@ runSpec(const char *engine, const SpecCase &c)
     opts.engine = engine;
     // Interactive stream I/O mirrors the generated program's stdio
     // exactly (char reads at address 0, prompts above address 1);
-    // for the native engine the facade pipes the stream to the
-    // subprocess's stdin and echoes its output here.
+    // both engines read and write it through the same StreamIo.
     opts.ioMode = IoMode::Interactive;
     opts.ioIn = &is;
     opts.ioOut = &os;
@@ -108,11 +107,9 @@ TEST_P(NativeEquivalence, MatchesVmOnEveryChannel)
     EXPECT_EQ(native.cycle, vm.cycle) << c.file;
 }
 
-/** The persistent-subprocess path the protocol added: drive the
- *  native engine cycle by cycle (one RUN round trip each) against a
- *  vm stepped in lockstep, comparing every traced observable every
- *  cycle — the interactive-stepping workload the old replay adapter
- *  made quadratic. */
+/** Drive the native engine cycle by cycle (one run(1) call each)
+ *  against a vm stepped in lockstep, comparing every traced
+ *  observable every cycle. */
 TEST_P(NativeEquivalence, StepsInLockstepWithVm)
 {
     const SpecCase &c = GetParam();
@@ -151,9 +148,8 @@ TEST_P(NativeEquivalence, StepsInLockstepWithVm)
     EXPECT_EQ(osNative.str(), osVm.str()) << c.file;
 }
 
-/** Injected faults must cross the process boundary: the native
- *  engine's spliced spec and @cycle state upsets match the vm's on
- *  every channel. */
+/** Injected faults: the native engine's spliced spec and @cycle
+ *  state upsets match the vm's on every channel. */
 TEST(NativeFaultEquivalence, InjectedFaultsMatchVm)
 {
     if (!NativeEngine::available())

@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "analysis/resolve.hh"
+#include "lang/parser.hh"
 #include "machines/counter.hh"
 #include "machines/stack_machine.hh"
+#include "machines/synthetic.hh"
 #include "sim/compiler.hh"
+#include "sim/interpreter.hh"
 #include "sim/vm.hh"
+
+#ifndef ASIM_SPECS_DIR
+#define ASIM_SPECS_DIR "specs"
+#endif
 
 namespace asim {
 namespace {
@@ -156,6 +165,47 @@ TEST(Vm, ProgramSizesReported)
     ResolvedSpec rs = resolveText(counterSpec(4, 10));
     Vm vm(rs, {}, {});
     EXPECT_GT(vm.program().totalInstructions(), 0u);
+}
+
+/** SimStats must not depend on the engine: ALUs the compiler folds
+ *  to constant stores still count as evaluated every cycle. */
+void
+expectStatsMatchInterpreter(const ResolvedSpec &rs, uint64_t cycles,
+                            const std::string &what)
+{
+    auto interp = makeInterpreter(rs);
+    auto vm = makeVm(rs);
+    interp->run(cycles);
+    vm->run(cycles);
+    const SimStats &a = interp->stats();
+    const SimStats &b = vm->stats();
+    EXPECT_EQ(b.cycles, a.cycles) << what;
+    EXPECT_EQ(b.aluEvals, a.aluEvals) << what;
+    EXPECT_EQ(b.selEvals, a.selEvals) << what;
+    ASSERT_EQ(b.mems.size(), a.mems.size()) << what;
+    for (size_t i = 0; i < a.mems.size(); ++i) {
+        EXPECT_EQ(b.mems[i].reads, a.mems[i].reads) << what;
+        EXPECT_EQ(b.mems[i].writes, a.mems[i].writes) << what;
+        EXPECT_EQ(b.mems[i].inputs, a.mems[i].inputs) << what;
+        EXPECT_EQ(b.mems[i].outputs, a.mems[i].outputs) << what;
+    }
+}
+
+TEST(Vm, StatsMatchInterpreterOnEverySpec)
+{
+    int specs = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(ASIM_SPECS_DIR)) {
+        if (entry.path().extension() != ".asim")
+            continue;
+        ResolvedSpec rs = resolve(parseSpecFile(entry.path().string()));
+        expectStatsMatchInterpreter(rs, 40, entry.path().string());
+        ++specs;
+    }
+    EXPECT_GE(specs, 7);
+    expectStatsMatchInterpreter(
+        resolve(generateSynthetic(syntheticPreset("1k"))), 10,
+        "synthetic 1k");
 }
 
 } // namespace
