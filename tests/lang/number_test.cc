@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "lang/number.hh"
 #include "support/logging.hh"
 
@@ -100,6 +102,14 @@ struct WrapCase
     const char *text;
     int32_t expect;
 };
+
+// Names each case by its text; the default printer would dump the
+// pointer bytes, which change from run to run.
+std::ostream &
+operator<<(std::ostream &os, const WrapCase &c)
+{
+    return os << c.text << " wraps to " << c.expect;
+}
 
 class NumberWrap : public ::testing::TestWithParam<WrapCase>
 {};
