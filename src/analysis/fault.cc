@@ -122,12 +122,17 @@ FaultInjector::splice(const Spec &spec, const std::string &comp,
         throwBitRange(bit);
 
     Spec out = spec;
-    Component *victim = out.find(comp);
+    const std::string shadow = comp + "FAULTED";
+    Component *victim = nullptr;
+    bool shadowTaken = false;
+    for (auto &c : out.comps) {
+        if (c.name == comp && !victim)
+            victim = &c;
+        shadowTaken = shadowTaken || c.name == shadow;
+    }
     if (!victim)
         throw SpecError("Error. Component <" + comp + "> not found.");
-
-    const std::string shadow = comp + "FAULTED";
-    if (out.find(shadow)) {
+    if (shadowTaken) {
         throw SpecError("Error. Component " + shadow +
                         " already exists.");
     }

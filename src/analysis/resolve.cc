@@ -1,9 +1,7 @@
 #include "analysis/resolve.hh"
 
-#include <set>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "analysis/depgraph.hh"
 #include "analysis/width.hh"
@@ -12,20 +10,61 @@
 #include "lang/writer.hh"
 #include "support/bitops.hh"
 #include "support/serialize.hh"
+#include "support/tracing.hh"
 
 namespace asim {
 
 namespace {
 
-/** Context for expression resolution: name -> (kind, slot). Keys are
+/** A component's entry in the name map. */
+struct NameEntry
+{
+    int index = 0;   ///< position in Spec::comps
+    int slot = 0;    ///< var slot, or memory index for a memory
+    bool isMem = false;
+};
+
+/** Context for expression resolution: name -> component. Keys are
  *  views into strings owned by the spec being resolved (alive for the
  *  whole resolve), and the map is a hash table: resolution does one
  *  lookup per reference term, which on a 100k+-component corpus spec
  *  made ordered-map string compares the dominant resolve cost. */
 struct NameMap
 {
-    std::unordered_map<std::string_view, std::pair<CompKind, int>> map;
+    std::unordered_map<std::string_view, NameEntry> map;
+
+    /** Var slot or memory index of each component, by position in
+     *  Spec::comps. */
+    std::vector<int> slotOf;
 };
+
+/**
+ * Assign slots in one pass: combinational outputs get var slots,
+ * memories get memory indexes, both in declaration order. Throws on a
+ * duplicate definition (stricter than the thesis, which silently used
+ * the last definition).
+ */
+NameMap
+assignSlots(const std::vector<Component> &comps)
+{
+    NameMap names;
+    names.map.reserve(comps.size());
+    names.slotOf.reserve(comps.size());
+    int vars = 0;
+    int mems = 0;
+    for (const auto &c : comps) {
+        const bool isMem = c.kind == CompKind::Memory;
+        const int slot = isMem ? mems++ : vars++;
+        const int index = static_cast<int>(names.slotOf.size());
+        if (!names.map.emplace(c.name, NameEntry{index, slot, isMem})
+                 .second) {
+            throw SpecError("Error. Component " + c.name +
+                            " defined twice.");
+        }
+        names.slotOf.push_back(slot);
+    }
+    return names;
+}
 
 /**
  * Resolve one expression. Mirrors the thesis' `expr` procedure: scan
@@ -40,8 +79,12 @@ resolveExprImpl(const Expr &expr, const NameMap &names)
     out.source = expr.source;
 
     int numbits = 0;
-    // Right-to-left accumulation, exactly like the thesis.
-    std::vector<ResolvedTerm> reversed;
+    // Right-to-left accumulation, exactly like the thesis; terms are
+    // stored leftmost-first (readable codegen), so fill from the back.
+    size_t next = 0;
+    for (const Term &t : expr.terms)
+        next += t.kind == Term::Kind::Ref;
+    out.terms.resize(next);
     for (auto it = expr.terms.rbegin(); it != expr.terms.rend(); ++it) {
         const Term &t = *it;
         switch (t.kind) {
@@ -69,10 +112,9 @@ resolveExprImpl(const Expr &expr, const NameMap &names)
                                 "> not found.");
             }
             ResolvedTerm rt;
-            rt.bank = nit->second.first == CompKind::Memory
-                          ? ResolvedTerm::Bank::MemTemp
-                          : ResolvedTerm::Bank::Var;
-            rt.slot = nit->second.second;
+            rt.bank = nit->second.isMem ? ResolvedTerm::Bank::MemTemp
+                                        : ResolvedTerm::Bank::Var;
+            rt.slot = nit->second.slot;
             if (t.from < 0) {
                 rt.whole = true;
                 rt.mask = -1;
@@ -89,7 +131,7 @@ resolveExprImpl(const Expr &expr, const NameMap &names)
                 rt.fieldWidth = to - t.from + 1;
                 numbits += rt.fieldWidth;
             }
-            reversed.push_back(rt);
+            out.terms[--next] = rt;
             break;
           }
         }
@@ -99,8 +141,6 @@ resolveExprImpl(const Expr &expr, const NameMap &names)
         }
     }
     out.width = numbits;
-    // Store leftmost-first for readable codegen.
-    out.terms.assign(reversed.rbegin(), reversed.rend());
     return out;
 }
 
@@ -138,69 +178,64 @@ ResolvedSpec::memIndex(std::string_view name) const
 }
 
 ResolvedSpec
-resolve(const Spec &spec, Diagnostics *diag)
+resolve(Spec spec, Diagnostics *diag)
 {
+    tracing::Span span("analysis.resolve", "analysis");
     ResolvedSpec rs;
-    rs.spec = spec;
+    rs.spec = std::move(spec);
+    // Name-map keys view strings owned by rs.spec from here on.
+    const Spec &sp = rs.spec;
+    const int n = static_cast<int>(sp.comps.size());
 
-    // Duplicate-definition check (stricter than the thesis, which
-    // silently used the last definition).
-    {
-        std::unordered_set<std::string_view> seen;
-        seen.reserve(spec.comps.size());
-        for (const auto &c : spec.comps) {
-            if (!seen.insert(c.name).second) {
-                throw SpecError("Error. Component " + c.name +
-                                " defined twice.");
-            }
-        }
-    }
-
-    // Assign slots: combinational outputs get var slots, memories get
-    // memory indexes, both in declaration order.
-    NameMap names;
-    names.map.reserve(spec.comps.size());
-    for (const auto &c : spec.comps) {
-        if (c.kind == CompKind::Memory) {
-            int idx = static_cast<int>(rs.memIndexes.size());
-            rs.memIndexes.emplace(c.name, idx);
-            names.map.emplace(c.name,
-                              std::make_pair(CompKind::Memory, idx));
-        } else {
-            int slot = static_cast<int>(rs.varSlots.size());
-            rs.varSlots.emplace(c.name, slot);
-            names.map.emplace(c.name, std::make_pair(c.kind, slot));
-        }
+    tracing::Span slotsSpan("analysis.resolve.slots", "analysis");
+    const NameMap names = assignSlots(sp.comps);
+    for (int idx = 0; idx < n; ++idx) {
+        const Component &c = sp.comps[idx];
+        if (c.kind == CompKind::Memory)
+            rs.memIndexes.emplace(c.name, names.slotOf[idx]);
+        else
+            rs.varSlots.emplace(c.name, names.slotOf[idx]);
     }
     rs.numVarSlots = static_cast<int>(rs.varSlots.size());
+    slotsSpan.finish();
 
     // checkdcl: declared but not defined / defined but not declared.
     if (diag) {
-        std::set<std::string> declared;
-        for (const auto &d : spec.decls) {
-            declared.insert(d.name);
-            if (!spec.find(d.name)) {
+        // One name-map probe per declaration marks the components
+        // it declares; definition names are unique, so an unmarked
+        // component is one no declaration names.
+        tracing::Span checkSpan("analysis.resolve.checkdcl", "analysis");
+        std::vector<char> declared(n, 0);
+        for (const auto &d : sp.decls) {
+            auto it = names.map.find(d.name);
+            if (it == names.map.end()) {
                 diag->warn("Warning: " + d.name +
                            " declared but not defined.");
+            } else {
+                declared[it->second.index] = 1;
             }
         }
-        for (const auto &c : spec.comps) {
-            if (!declared.count(c.name)) {
-                diag->warn("Warning: " + c.name +
+        for (int idx = 0; idx < n; ++idx) {
+            if (!declared[idx]) {
+                diag->warn("Warning: " + sp.comps[idx].name +
                            " defined but not declared.");
             }
         }
     }
 
     // Order the combinational network (throws on cycles).
-    std::vector<int> order = orderCombinational(spec.comps);
+    tracing::Span orderSpan("analysis.resolve.order", "analysis");
+    std::vector<int> order = orderCombinational(sp.comps);
+    orderSpan.finish();
 
+    tracing::Span exprsSpan("analysis.resolve.exprs", "analysis");
+    rs.comb.reserve(order.size());
     for (int idx : order) {
-        const Component &c = spec.comps[idx];
+        const Component &c = sp.comps[idx];
         CombComp cc;
         cc.kind = c.kind;
         cc.name = c.name;
-        cc.slot = rs.varSlot(c.name);
+        cc.slot = names.slotOf[idx];
         cc.declIndex = idx;
         if (c.kind == CompKind::Alu) {
             cc.funct = resolveExprImpl(c.funct, names);
@@ -218,19 +253,21 @@ resolve(const Spec &spec, Diagnostics *diag)
             }
         } else {
             cc.select = resolveExprImpl(c.select, names);
+            cc.cases.reserve(c.cases.size());
             for (const auto &e : c.cases)
                 cc.cases.push_back(resolveExprImpl(e, names));
         }
         rs.comb.push_back(std::move(cc));
     }
 
-    for (int idx = 0; idx < static_cast<int>(spec.comps.size()); ++idx) {
-        const Component &c = spec.comps[idx];
+    rs.mems.reserve(rs.memIndexes.size());
+    for (int idx = 0; idx < n; ++idx) {
+        const Component &c = sp.comps[idx];
         if (c.kind != CompKind::Memory)
             continue;
         MemDesc m;
         m.name = c.name;
-        m.index = rs.memIndex(c.name);
+        m.index = names.slotOf[idx];
         m.declIndex = idx;
         m.addr = resolveExprImpl(c.addr, names);
         m.data = resolveExprImpl(c.data, names);
@@ -254,27 +291,21 @@ resolve(const Spec &spec, Diagnostics *diag)
     }
 
     // Build the per-cycle trace list from the starred declarations.
-    for (const auto &d : spec.decls) {
+    for (const auto &d : sp.decls) {
         if (!d.traced)
             continue;
+        auto it = names.map.find(d.name);
+        if (it == names.map.end()) {
+            if (diag) {
+                diag->warn("Warning: " + d.name +
+                           " traced but not defined.");
+            }
+            continue;
+        }
         TraceItem item;
         item.name = d.name;
-        int vs = rs.varSlot(d.name);
-        if (vs >= 0) {
-            item.isMem = false;
-            item.slot = vs;
-        } else {
-            int mi = rs.memIndex(d.name);
-            if (mi < 0) {
-                if (diag) {
-                    diag->warn("Warning: " + d.name +
-                               " traced but not defined.");
-                }
-                continue;
-            }
-            item.isMem = true;
-            item.slot = mi;
-        }
+        item.isMem = it->second.isMem;
+        item.slot = it->second.slot;
         rs.traceList.push_back(std::move(item));
     }
 
@@ -296,14 +327,7 @@ specIdentityHash(const ResolvedSpec &rs)
 ResolvedExpr
 resolveExpr(const Expr &expr, const ResolvedSpec &rs)
 {
-    NameMap names;
-    for (const auto &[name, slot] : rs.varSlots) {
-        CompKind kind = rs.spec.find(name)->kind;
-        names.map.emplace(name, std::make_pair(kind, slot));
-    }
-    for (const auto &[name, idx] : rs.memIndexes)
-        names.map.emplace(name, std::make_pair(CompKind::Memory, idx));
-    return resolveExprImpl(expr, names);
+    return resolveExprImpl(expr, assignSlots(rs.spec.comps));
 }
 
 } // namespace asim

@@ -137,14 +137,20 @@ struct ResolvedSpec
 /**
  * Resolve a parsed specification.
  *
- * @param spec parsed spec (copied into the result)
+ * Every stage is linear in the spec size (hashed name lookups), up
+ * to the ordered `varSlots`/`memIndexes` maps and the dependency
+ * sort's ready queue.
+ *
+ * @param spec parsed spec, kept as `ResolvedSpec::spec`: pass a
+ *             temporary (or std::move) to hand it over without a
+ *             copy; an lvalue argument is copied
  * @param diag optional warning collector (declared-but-not-defined,
  *             defined-but-not-declared — thesis `checkdcl`)
  * @throws SpecError on duplicate definitions, unresolved references,
  *         too-wide expressions, bad subfields, or circular
  *         combinational dependencies
  */
-ResolvedSpec resolve(const Spec &spec, Diagnostics *diag = nullptr);
+ResolvedSpec resolve(Spec spec, Diagnostics *diag = nullptr);
 
 /** Convenience: parse + resolve in one step. */
 ResolvedSpec resolveText(std::string_view text,

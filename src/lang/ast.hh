@@ -89,7 +89,9 @@ struct Spec
     std::vector<DeclName> decls;
     std::vector<Component> comps;
 
-    /** Find a component by name; nullptr if absent. */
+    /** Find a component by name; nullptr if absent. A linear-scan
+     *  convenience lookup for tests and tools: the front end never
+     *  calls it, since resolve() and module expansion hash names. */
     const Component *find(std::string_view name) const;
     Component *find(std::string_view name);
 

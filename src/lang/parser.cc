@@ -3,10 +3,12 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <unordered_set>
 
 #include "lang/lexer.hh"
 #include "lang/number.hh"
 #include "support/text.hh"
+#include "support/tracing.hh"
 
 namespace asim {
 
@@ -221,6 +223,11 @@ class Parser
                             "> not found.");
         }
         const Module &mod = it->second;
+        if (!declaredIndexed_) {
+            for (const auto &d : spec_.decls)
+                declared_.insert(d.name);
+            declaredIndexed_ = true;
+        }
 
         // One actual per port.
         std::map<std::string, std::string> rename;
@@ -263,14 +270,7 @@ class Parser
             sink_->push_back(std::move(c));
             // Expanded names join the declaration list untraced
             // unless the user already declared them.
-            bool declared = false;
-            for (const auto &d : spec_.decls) {
-                if (d.name == sink_->back().name) {
-                    declared = true;
-                    break;
-                }
-            }
-            if (!declared) {
+            if (declared_.insert(sink_->back().name).second) {
                 spec_.decls.push_back(
                     DeclName{sink_->back().name, false});
             }
@@ -362,6 +362,12 @@ class Parser
 
     /** Module templates (§5.4 modularity extension). */
     std::map<std::string, Module> modules_;
+
+    /** Names on the declaration list, indexed at the first module
+     *  instantiation so each expanded component is checked in O(1)
+     *  rather than by a scan of the list. */
+    std::unordered_set<std::string> declared_;
+    bool declaredIndexed_ = false;
 };
 
 } // namespace
@@ -403,6 +409,7 @@ compKindLetter(CompKind kind)
 Spec
 parseSpec(std::string_view text, Diagnostics *diag)
 {
+    tracing::Span span("lang.parse", "lang");
     return Parser(text, diag).run();
 }
 

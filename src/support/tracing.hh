@@ -123,6 +123,10 @@ class Span
 
     ~Span() { finish(); }
 
+    /** True if this span will be written: guard the building of
+     *  args strings with it so an inert span costs no allocation. */
+    bool live() const { return name_ != nullptr; }
+
     /** Attach a JSON args body ("\"k\":v,...") emitted with the span. */
     void setArgs(std::string argsJson)
     {

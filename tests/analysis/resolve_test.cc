@@ -81,18 +81,30 @@ TEST(Resolve, UnknownReferenceThrows)
 
 TEST(Resolve, CheckdclWarnings)
 {
+    // Undefined declarations and undeclared definitions interleave in
+    // both lists; each kind warns in its own list's order, declared-
+    // but-not-defined first, then the traced-but-not-defined notes.
     Diagnostics diag;
     resolveText("# warn\n"
-                "declared defined .\n"
+                "ghostA defined* ghostB mem ghostC* ghostA .\n"
+                "A extraA 4 1 1\n"
                 "A defined 4 1 1\n"
-                "A extra 4 1 1\n"
+                "M extraB 0 defined 0 2\n"
+                "M mem 0 defined 0 2\n"
+                "S extraC defined.0 1 2\n"
                 ".\n",
                 &diag);
-    ASSERT_EQ(diag.warnings().size(), 2u);
-    EXPECT_NE(diag.warnings()[0].find("declared but not defined"),
-              std::string::npos);
-    EXPECT_NE(diag.warnings()[1].find("defined but not declared"),
-              std::string::npos);
+    const std::vector<std::string> want = {
+        "Warning: ghostA declared but not defined.",
+        "Warning: ghostB declared but not defined.",
+        "Warning: ghostC declared but not defined.",
+        "Warning: ghostA declared but not defined.",
+        "Warning: extraA defined but not declared.",
+        "Warning: extraB defined but not declared.",
+        "Warning: extraC defined but not declared.",
+        "Warning: ghostC traced but not defined.",
+    };
+    EXPECT_EQ(diag.warnings(), want);
 }
 
 TEST(Resolve, InitCountMismatchThrows)
