@@ -6,6 +6,7 @@
 #include "lang/alu_ops.hh"
 #include "support/bitops.hh"
 #include "support/logging.hh"
+#include "support/text.hh"
 
 namespace asim {
 
@@ -239,21 +240,6 @@ throwCellNeedsCycle(const std::string &component)
                     ">'s output).");
 }
 
-/** strtoll wrapper: all of `s` must be a decimal integer. */
-bool
-parseInt(const std::string &s, long long *out)
-{
-    if (s.empty())
-        return false;
-    size_t used = 0;
-    try {
-        *out = std::stoll(s, &used, 10);
-    } catch (const std::exception &) {
-        return false;
-    }
-    return used == s.size();
-}
-
 } // namespace
 
 FaultSite
@@ -263,11 +249,11 @@ parseFaultSite(const std::string &text)
 
     std::string body = text;
     if (auto at = body.rfind('@'); at != std::string::npos) {
-        long long cycle = 0;
-        if (!parseInt(body.substr(at + 1), &cycle) || cycle < 0)
+        auto cycle = parseInteger(body.substr(at + 1), 0, INT64_MAX, 10);
+        if (!cycle)
             throwBadFault(text, "cycle must be a non-negative integer");
         site.atCycle = true;
-        site.cycle = static_cast<uint64_t>(cycle);
+        site.cycle = static_cast<uint64_t>(*cycle);
         body.resize(at);
     }
 
@@ -284,28 +270,28 @@ parseFaultSite(const std::string &text)
     if (site.mode.empty())
         throwBadFault(text, "missing mode");
 
-    long long bit = 0;
-    if (!parseInt(body.substr(bitColon + 1, modeColon - bitColon - 1),
-                  &bit))
+    auto bit = parseInteger(
+        body.substr(bitColon + 1, modeColon - bitColon - 1), INT64_MIN,
+        INT64_MAX, 10);
+    if (!bit)
         throwBadFault(text, "bit must be an integer");
-    if (bit < 0 || bit >= kMaxBits)
-        throwBitRange(static_cast<int>(bit));
-    site.bit = static_cast<int>(bit);
+    if (*bit < 0 || *bit >= kMaxBits)
+        throwBitRange(static_cast<int>(*bit));
+    site.bit = static_cast<int>(*bit);
 
     site.component = body.substr(0, bitColon);
     if (auto open = site.component.find('[');
         open != std::string::npos) {
         if (site.component.back() != ']')
             throwBadFault(text, "unterminated cell address");
-        long long cell = 0;
-        if (!parseInt(site.component.substr(
-                          open + 1,
-                          site.component.size() - open - 2),
-                      &cell) ||
-            cell < 0)
+        auto cell = parseInteger(
+            site.component.substr(open + 1,
+                                  site.component.size() - open - 2),
+            0, INT64_MAX, 10);
+        if (!cell)
             throwBadFault(text,
                           "cell must be a non-negative integer");
-        site.cell = cell;
+        site.cell = *cell;
         site.component.resize(open);
     }
     if (site.component.empty())

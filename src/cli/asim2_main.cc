@@ -2,25 +2,17 @@
  * @file
  * `asim2c` — the ASIM II compiler: specification in, Pascal or C++
  * out (thesis Appendix A: `sim [file]` producing `simulator.p`).
- *
- * Usage: asim2c [options] <spec-file>
- *   --lang=pascal|cpp    target language (default pascal)
- *   -o <file>            output path (default simulator.p / .cc)
- *   --no-trace           generate without trace statements
- *   --no-optimize        disable constant inlining/specialization
- *   --fixed-shl          repaired shift-left semantics
- *   --spec-hash          print the specification's identity hash
- *                        (the checkpoint/build-cache key) and exit
- *   --trace-out=FILE     write a Chrome trace_event JSON profile of
- *                        this compile (parse/resolve/codegen spans)
+ * `asim2c --help` lists every flag.
  */
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "analysis/resolve.hh"
+#include "cli/options.hh"
 #include "codegen/codegen.hh"
 #include "sim/simulation.hh"
 #include "support/tracing.hh"
@@ -30,7 +22,6 @@ main(int argc, char **argv)
 {
     using namespace asim;
 
-    std::string file;
     std::string lang = "pascal";
     std::string outPath;
     std::string traceOut;
@@ -42,45 +33,35 @@ main(int argc, char **argv)
         ~TraceGuard() { tracing::stop(); }
     } traceGuard;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--lang=", 0) == 0) {
-            lang = arg.substr(7);
-        } else if (arg == "-o" && i + 1 < argc) {
-            outPath = argv[++i];
-        } else if (arg == "--no-trace") {
-            opts.emitTrace = false;
-        } else if (arg == "--no-optimize") {
-            opts.inlineConstAlu = false;
-            opts.specializeConstMem = false;
-        } else if (arg == "--fixed-shl") {
-            opts.aluSemantics = AluSemantics::Fixed;
-        } else if (arg == "--spec-hash") {
-            specHashOnly = true;
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            traceOut = arg.substr(12);
-        } else if (arg == "--help" || arg == "-h") {
-            std::cerr << "usage: asim2c [--lang=pascal|cpp] [-o file]\n"
-                      << "              [--no-trace] [--no-optimize]\n"
-                      << "              [--fixed-shl]\n"
-                      << "              [--spec-hash] "
-                         "[--trace-out=file] <spec-file>\n";
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "unknown option " << arg << "\n";
-            return 1;
-        } else {
-            file = arg;
-        }
-    }
-    if (file.empty()) {
-        std::cerr << "usage: asim2c [options] <spec-file>\n";
+    cli::OptionTable t("asim2c", "<spec-file>");
+    t.add("--lang", "pascal|cpp", "target language (default pascal)",
+          [&](auto &v) {
+              if (v != "pascal" && v != "cpp")
+                  throw cli::BadValue{};
+              lang = v;
+          });
+    t.text("-o", "FILE", "output path (default simulator.p or .cc)",
+           &outPath);
+    t.add("--no-trace", "", "generate without trace statements",
+          [&](auto &) { opts.emitTrace = false; });
+    t.add("--no-optimize", "", "disable constant inlining/specialization",
+          [&](auto &) {
+              opts.inlineConstAlu = opts.specializeConstMem = false;
+          });
+    t.add("--fixed-shl", "", "use repaired shift-left semantics",
+          [&](auto &) { opts.aluSemantics = AluSemantics::Fixed; });
+    t.flag("--spec-hash", "print the spec's identity hash and exit",
+           &specHashOnly);
+    t.text("--trace-out", "FILE", "write a Chrome trace JSON to FILE",
+           &traceOut);
+    std::vector<std::string> operands;
+    if (auto rc = t.parse(argc, argv, operands))
+        return *rc;
+    if (operands.empty() || operands.back().empty()) {
+        t.usage(std::cerr);
         return 1;
     }
-    if (lang != "pascal" && lang != "cpp") {
-        std::cerr << "unknown language " << lang << "\n";
-        return 1;
-    }
+    const std::string file = operands.back();
     if (outPath.empty())
         outPath = lang == "pascal" ? "simulator.p" : "simulator.cc";
     if (!traceOut.empty() && !tracing::start(traceOut)) {

@@ -1,19 +1,7 @@
 /**
  * @file
  * `asim-serve` — the multi-tenant simulation daemon (DESIGN.md §9).
- *
- * Usage: asim-serve [options]
- *   --socket=PATH          listen on a Unix-domain socket at PATH
- *   --tcp=PORT             also listen on loopback TCP (0 picks an
- *                          ephemeral port, printed on startup)
- *   --state-dir=DIR        parked-session artifacts (default
- *                          asim-serve-state)
- *   --evict-after-ms=N     park sessions idle longer than N ms
- *                          (default 60000; 0 disables the sweep)
- *   --trace-out=FILE       write a Chrome trace_event JSON trace of
- *                          the daemon's lifetime (session lifecycle
- *                          events, engine spans) to FILE on shutdown
- *   --quiet                no startup/shutdown chatter
+ * `asim-serve --help` lists every flag.
  *
  * The daemon always runs with timing metrics enabled so a METRICS
  * scrape (or asim-run --server-metrics) returns populated request-
@@ -31,7 +19,9 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <vector>
 
+#include "cli/options.hh"
 #include "serve/server.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -47,15 +37,6 @@ onSignal(int)
     gStop = true;
 }
 
-void
-usage()
-{
-    std::cerr << "usage: asim-serve [--socket=PATH] [--tcp=PORT]\n"
-              << "                  [--state-dir=DIR] "
-                 "[--evict-after-ms=N]\n"
-              << "                  [--trace-out=FILE] [--quiet]\n";
-}
-
 } // namespace
 
 int
@@ -68,37 +49,30 @@ main(int argc, char **argv)
     bool quiet = false;
     std::string traceOut;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--socket=", 0) == 0) {
-            opts.unixPath = arg.substr(9);
-        } else if (arg.rfind("--tcp=", 0) == 0) {
-            long long port = std::atoll(arg.c_str() + 6);
-            if (port < 0 || port > 65535) {
-                std::cerr << "--tcp wants a port in 0..65535\n";
-                return 1;
-            }
-            opts.tcpPort = static_cast<int>(port);
-        } else if (arg.rfind("--state-dir=", 0) == 0) {
-            opts.stateDir = arg.substr(12);
-        } else if (arg.rfind("--evict-after-ms=", 0) == 0) {
-            opts.evictAfterMs = std::atoll(arg.c_str() + 17);
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            traceOut = arg.substr(12);
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            usage();
-            return 1;
-        }
+    cli::OptionTable t("asim-serve", "");
+    t.text("--socket", "PATH", "listen on a Unix-domain socket at PATH",
+           &opts.unixPath);
+    t.integer("--tcp", "PORT", 0, 65535,
+              "also listen on loopback TCP (0: any port)", &opts.tcpPort);
+    t.text("--state-dir", "DIR", "parked sessions (default asim-serve-state)",
+           &opts.stateDir);
+    t.integer("--evict-after-ms", "N", 0, INT64_MAX,
+              "park after N idle ms (60000; 0: never)", &opts.evictAfterMs);
+    t.text("--trace-out", "FILE", "write a Chrome trace JSON to FILE on exit",
+           &traceOut);
+    t.flag("--quiet", "no startup/shutdown chatter", &quiet);
+    std::vector<std::string> operands;
+    if (auto rc = t.parse(argc, argv, operands))
+        return *rc;
+    if (!operands.empty()) {
+        std::cerr << "asim-serve: unexpected argument " << operands[0]
+                  << "\n";
+        return 1;
     }
     if (opts.unixPath.empty() && opts.tcpPort < 0) {
         std::cerr << "asim-serve needs --socket=PATH and/or "
                      "--tcp=PORT\n";
-        usage();
+        t.usage(std::cerr);
         return 1;
     }
 

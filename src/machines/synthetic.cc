@@ -7,6 +7,7 @@
 #include "lang/writer.hh"
 #include "support/bitops.hh"
 #include "support/logging.hh"
+#include "support/text.hh"
 
 namespace asim {
 
@@ -341,16 +342,9 @@ syntheticPreset(const std::string &name)
     } else if (name == "1m" || name == "1M") {
         total = 1000000;
     } else {
-        try {
-            size_t pos = 0;
-            total = std::stoll(name, &pos);
-            if (pos != name.size())
-                total = -1;
-        } catch (...) {
-            total = -1;
-        }
+        total = parseInteger(name, 1, 4000000, 10).value_or(-1);
     }
-    if (total < 1 || total > 4000000) {
+    if (total < 1) {
         throw SpecError("Error. Unknown synthetic preset <" + name +
                         "> (use 1k, 10k, 100k, 1m, or a component "
                         "count up to 4000000).");

@@ -11,9 +11,11 @@
 
 #include "analysis/fault.hh"
 #include "sim/checkpoint.hh"
+#include "sim/partition.hh"
 #include "sim/trace.hh"
 #include "support/metrics.hh"
 #include "support/serialize.hh"
+#include "support/text.hh"
 #include "support/thread_pool.hh"
 #include "support/tracing.hh"
 
@@ -618,10 +620,11 @@ BatchRunner::loadManifest(const std::string &path,
             std::string key = kv.substr(0, eq);
             std::string value = kv.substr(eq + 1);
             if (key == "cycles") {
-                job.cycles = std::strtoull(value.c_str(), nullptr, 10);
-                if (job.cycles == 0)
+                auto cycles = parseInteger(value, 1, INT64_MAX, 10);
+                if (!cycles)
                     throw bad("cycles must be a positive integer: " +
                               value);
+                job.cycles = static_cast<uint64_t>(*cycles);
             } else if (key == "io") {
                 job.options.ioMode = IoMode::Script;
                 job.options.scriptInputs =
@@ -629,17 +632,21 @@ BatchRunner::loadManifest(const std::string &path,
             } else if (key == "engine") {
                 job.options.engine = value;
             } else if (key == "count") {
-                count = std::strtoull(value.c_str(), nullptr, 10);
-                if (count == 0)
-                    throw bad("count must be a positive integer: " +
+                auto n = parseInteger(value, 1, kBatchMaxCount, 10);
+                if (!n) {
+                    throw bad("count must be an integer in 1.." +
+                              std::to_string(kBatchMaxCount) + ": " +
                               value);
+                }
+                count = static_cast<size_t>(*n);
             } else if (key == "partitions") {
-                unsigned long p =
-                    std::strtoul(value.c_str(), nullptr, 10);
-                if (p == 0)
-                    throw bad("partitions must be a positive "
-                              "integer: " + value);
-                job.options.partitions = static_cast<unsigned>(p);
+                auto p = parseInteger(value, 1, kPartitionMaxLanes, 10);
+                if (!p) {
+                    throw bad("partitions must be an integer in 1.." +
+                              std::to_string(kPartitionMaxLanes) +
+                              ": " + value);
+                }
+                job.options.partitions = static_cast<unsigned>(*p);
             } else if (key == "fault") {
                 // Deliberately unwrapped: a malformed fault throws
                 // parseFaultSite's own SpecError, the same text the
@@ -651,12 +658,15 @@ BatchRunner::loadManifest(const std::string &path,
                 job.restoreFrom = resolvePath(value);
             } else if (key == "watch") {
                 auto colon = value.find(':');
-                if (colon == std::string::npos)
+                auto v = colon == std::string::npos
+                             ? std::nullopt
+                             : parseInteger(value.substr(colon + 1),
+                                            INT32_MIN, INT32_MAX, 0);
+                if (!v)
                     throw bad("watch wants component:value, got: " +
                               value);
                 job.watchName = value.substr(0, colon);
-                job.watchValue = static_cast<int32_t>(std::strtol(
-                    value.c_str() + colon + 1, nullptr, 0));
+                job.watchValue = static_cast<int32_t>(*v);
             } else {
                 throw bad("unknown key <" + key + ">");
             }

@@ -45,6 +45,11 @@
 
 namespace asim {
 
+/** Most instances one `--batch=N` or manifest `count=` may ask for.
+ *  Every instance holds a job record until the batch ends, so an
+ *  unchecked count is an unbounded allocation. */
+inline constexpr size_t kBatchMaxCount = 1000000;
+
 /** One simulation to run as part of a batch. */
 struct BatchJob
 {

@@ -58,6 +58,12 @@ namespace asim {
  *  crafted specs through the partitioned path). */
 inline constexpr size_t kPartitionAutoThreshold = 256;
 
+/** Most worker lanes one design may ask for. Each lane is an OS
+ *  thread, and lane counts arrive from outside the program (the CLI,
+ *  batch manifests, serve OPEN frames, parked-session sidecars), so
+ *  Simulation refuses anything above this. */
+inline constexpr unsigned kPartitionMaxLanes = 256;
+
 /** The static execution schedule of a PartitionedInterpreter. */
 struct PartitionPlan
 {

@@ -15,6 +15,7 @@
 #include "sim/symbolic.hh"
 #include "sim/trace.hh"
 #include "support/metrics.hh"
+#include "support/text.hh"
 #include "support/tracing.hh"
 
 namespace asim {
@@ -210,22 +211,16 @@ Simulation::loadScript(const std::string &path)
             std::getline(in, rest);
             continue;
         }
-        size_t used = 0;
-        long long v = 0;
-        try {
-            v = std::stoll(token, &used, 0);
-        } catch (const std::exception &) {
-            used = 0;
-        }
-        if (used != token.size()) {
+        auto v = parseInteger(token, INT64_MIN, INT64_MAX, 0);
+        if (!v) {
             throw SimError("script file " + path +
                            ": not an integer: " + token);
         }
-        if (v < INT32_MIN || v > INT32_MAX) {
+        if (*v < INT32_MIN || *v > INT32_MAX) {
             throw SimError("script file " + path +
                            ": value out of 32-bit range: " + token);
         }
-        values.push_back(static_cast<int32_t>(v));
+        values.push_back(static_cast<int32_t>(*v));
     }
     return values;
 }
@@ -282,6 +277,11 @@ Simulation::Simulation(const SimulationOptions &opts)
         throw SimError("engine <" + engineName_ +
                        "> does not support partitioned execution; "
                        "partitions require the interp engine");
+    }
+    if (opts.partitions > kPartitionMaxLanes) {
+        throw SimError("partitions " + std::to_string(opts.partitions) +
+                       " exceeds the limit of " +
+                       std::to_string(kPartitionMaxLanes) + " lanes");
     }
     ctx.partitions = opts.partitions;
     ctx.partitionMinComponents = opts.partitionMinComponents;

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "support/logging.hh"
+#include "support/text.hh"
 
 namespace asim {
 
@@ -205,12 +206,11 @@ connectEndpoint(const std::string &endpoint)
             throw SimError("tcp endpoint wants tcp:<host>:<port>, "
                            "got: " + endpoint);
         }
-        long port = std::strtol(rest.c_str() + colon + 1, nullptr, 10);
-        if (port <= 0 || port > 65535) {
+        auto port = parseInteger(rest.substr(colon + 1), 1, 65535, 10);
+        if (!port)
             throw SimError("bad tcp port in endpoint: " + endpoint);
-        }
         return connectTcp(rest.substr(0, colon),
-                          static_cast<uint16_t>(port));
+                          static_cast<uint16_t>(*port));
     }
     return connectUnix(endpoint);
 }

@@ -1,5 +1,9 @@
 #include "support/text.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
+
 namespace asim {
 
 bool
@@ -68,6 +72,23 @@ countOccurrences(std::string_view hay, std::string_view needle)
         pos += needle.size();
     }
     return n;
+}
+
+std::optional<int64_t>
+parseInteger(std::string_view text, int64_t min, int64_t max, int base)
+{
+    // strtoll skips leading whitespace and stops at the first stray
+    // character; both are refused here.
+    if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    const std::string s(text);
+    char *end = nullptr;
+    errno = 0;
+    long long v = std::strtoll(s.c_str(), &end, base);
+    if (errno != 0 || end != s.c_str() + s.size() || v < min ||
+        v > max)
+        return std::nullopt;
+    return static_cast<int64_t>(v);
 }
 
 } // namespace asim

@@ -6,6 +6,8 @@
 #ifndef ASIM_SUPPORT_TEXT_HH
 #define ASIM_SUPPORT_TEXT_HH
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,6 +53,16 @@ bool contains(std::string_view hay, std::string_view needle);
 
 /** Count occurrences of `needle` in `hay` (non-overlapping). */
 int countOccurrences(std::string_view hay, std::string_view needle);
+
+/**
+ * Parse all of `text` as an integer in [min, max]. `base` is as for
+ * strtoll: 10, or 0 to accept the C prefixes (0x hex, leading-0
+ * octal). An optional sign is allowed; whitespace is not. Returns
+ * nothing when `text` is empty, has any stray character, or names a
+ * value outside the range.
+ */
+std::optional<int64_t> parseInteger(std::string_view text, int64_t min,
+                                    int64_t max, int base);
 
 } // namespace asim
 

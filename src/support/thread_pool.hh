@@ -30,6 +30,9 @@
 
 namespace asim {
 
+/** Most worker threads a command line may ask a pool for. */
+inline constexpr unsigned kMaxPoolThreads = 1024;
+
 /** See file comment. */
 class ThreadPool
 {

@@ -1,6 +1,6 @@
 /** @file
- * End-to-end tests of the command-line tools (asim-run, asim2c),
- * driven through the shell exactly as a user would.
+ * End-to-end tests of the command-line tools (asim-run, asim2c,
+ * asim-serve), driven through the shell exactly as a user would.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,9 @@
 #endif
 #ifndef ASIM2C_BIN
 #define ASIM2C_BIN "asim2c"
+#endif
+#ifndef ASIM_SERVE_BIN
+#define ASIM_SERVE_BIN "asim-serve"
 #endif
 #ifndef ASIM_SPECS_DIR
 #define ASIM_SPECS_DIR "specs"
@@ -283,6 +286,112 @@ TEST(Cli, Asim2cRejectsUnknownLanguage)
     CmdResult r = run(std::string(ASIM2C_BIN) + " --lang=cobol " +
                       counterSpec());
     EXPECT_NE(r.status, 0);
+}
+
+// ---------------------------------------------------------------------
+// The shared option table: malformed or out-of-range values are usage
+// errors (exit 1) that name the flag, never a silent 0 or prefix read.
+// ---------------------------------------------------------------------
+
+/** Expect a usage error whose message contains `message`. */
+void
+expectUsageError(const std::string &cmd, const std::string &message)
+{
+    CmdResult r = run(cmd);
+    EXPECT_TRUE(WIFEXITED(r.status) && WEXITSTATUS(r.status) == 1)
+        << cmd << "\n" << r.out;
+    EXPECT_NE(r.out.find(message), std::string::npos)
+        << cmd << "\n" << r.out;
+    EXPECT_EQ(r.out.find("Cycle"), std::string::npos) << r.out;
+}
+
+TEST(Cli, AsimRunRejectsMalformedIntegers)
+{
+    const std::string bin = ASIM_RUN_BIN;
+    expectUsageError(bin + " --cycles=abc " + counterSpec(),
+                     "--cycles wants an integer >= 0, got \"abc\"");
+    expectUsageError(bin + " --cycles=3x " + counterSpec(),
+                     "--cycles wants an integer >= 0, got \"3x\"");
+    expectUsageError(bin + " --campaign=8 --seed=banana " +
+                         std::string(ASIM_SPECS_DIR) + "/gcd.asim",
+                     "--seed wants an integer >= 0, got \"banana\"");
+    expectUsageError(bin + " --batch=2 --threads=0 " + counterSpec(),
+                     "--threads wants an integer in 1..");
+}
+
+TEST(Cli, AsimRunRejectsMalformedTcpPort)
+{
+    // Not a connection to port 80: the endpoint itself is refused.
+    CmdResult r = run(std::string(ASIM_RUN_BIN) +
+                      " --connect=tcp:127.0.0.1:80x --server-stats");
+    EXPECT_NE(r.status, 0) << r.out;
+    EXPECT_NE(r.out.find("bad tcp port in endpoint: "
+                         "tcp:127.0.0.1:80x"),
+              std::string::npos)
+        << r.out;
+}
+
+TEST(Cli, Asim2cOutputFlagNeedsAFile)
+{
+    expectUsageError(std::string(ASIM2C_BIN) + " -o",
+                     "-o needs a value");
+}
+
+TEST(Cli, AsimServeRejectsMalformedIntegers)
+{
+    // No --socket: even a build that ignored the bad value would exit
+    // at once instead of serving.
+    const std::string bin = ASIM_SERVE_BIN;
+    expectUsageError(bin + " --tcp=70000",
+                     "--tcp wants an integer in 0..65535");
+    expectUsageError(bin + " --evict-after-ms=x",
+                     "--evict-after-ms wants an integer >= 0");
+}
+
+/** `--help` exits 0 and names every flag of the tool's table. */
+void
+expectHelpNames(const std::string &bin,
+                std::initializer_list<const char *> flags)
+{
+    CmdResult r = run(bin + " --help");
+    EXPECT_EQ(r.status, 0) << r.out;
+    for (const char *flag : flags) {
+        EXPECT_NE(r.out.find(std::string("  ") + flag), std::string::npos)
+            << flag << "\n" << r.out;
+    }
+}
+
+TEST(Cli, AsimRunHelpNamesEveryFlag)
+{
+    expectHelpNames(
+        ASIM_RUN_BIN,
+        {"--engine=", "--partitions=", "--synthetic=", "--cycles=",
+         "--io=", "--stats", "--no-trace", "--fixed-shl",
+         "--list-engines", "--dump-bytecode", "--trace-out=",
+         "--inject=", "--campaign=", "--seed=", "--golden-cycle=",
+         "--injector=", "--campaign-watch=", "--hang-budget=",
+         "--campaign-splice", "--list-injectors", "--save-state=",
+         "--restore-from=", "--checkpoint-every=", "--batch=",
+         "--batch-manifest=", "--threads=", "--json=",
+         "--checkpoint-dir=", "--connect=", "--session=", "--evict",
+         "--close-session", "--server-stats", "--server-metrics",
+         "--shutdown-server", "--help"});
+}
+
+TEST(Cli, Asim2cHelpNamesEveryFlag)
+{
+    expectHelpNames(ASIM2C_BIN,
+                    {"--lang=", "-o ", "--no-trace", "--no-optimize",
+                     "--fixed-shl", "--spec-hash", "--trace-out=",
+                     "--help"});
+}
+
+TEST(Cli, AsimServeHelpNamesEveryFlag)
+{
+    expectHelpNames(ASIM_SERVE_BIN,
+                    {"--socket=", "--tcp=", "--state-dir=",
+                     "--evict-after-ms=", "--trace-out=", "--quiet",
+                     "--help"});
 }
 
 } // namespace

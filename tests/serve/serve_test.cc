@@ -28,6 +28,7 @@
 #include "support/metrics.hh"
 #include "sim/checkpoint.hh"
 #include "sim/native_engine.hh"
+#include "sim/partition.hh"
 #include "sim/simulation.hh"
 
 namespace asim::serve {
@@ -457,6 +458,33 @@ TEST_F(Serve, ErrorsAreDiagnosticAndNonFatal)
 
     // The connection survives every error above.
     EXPECT_EQ(client.run(first.id, 9).cycle, 9u);
+}
+
+TEST_F(Serve, OpenRefusesMoreLanesThanTheBound)
+{
+    ServeServer server(serveOpts());
+    server.start();
+
+    // Each lane would be a daemon thread; the echo spec is small
+    // enough to stay serial, so a missing bound starts none.
+    ServeClient client(sock_);
+    auto wide = echoOpen("wide");
+    wide.engine = "interp";
+    wide.partitions = kPartitionMaxLanes + 1;
+    try {
+        client.open(wide);
+        FAIL() << "expected ERR";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("exceeds the limit"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    // The refused session holds no name, and the connection still
+    // serves requests.
+    wide.partitions = 1;
+    auto session = client.open(wide);
+    EXPECT_EQ(client.run(session.id, 9).output, directOutput(wide, 9));
 }
 
 TEST_F(Serve, TcpEndpointSpeaksTheSameProtocol)

@@ -465,18 +465,25 @@ TEST_F(ManifestTest, RestoreKeyResumesFromCheckpoint)
 
 TEST_F(ManifestTest, MalformedLinesThrowWithLineNumbers)
 {
+    // Integers are whole and bounded: no prefix reads ("5x" as 5), no
+    // wrap-around ("-1" as 2^64-1, an unbounded allocation).
     for (const char *line :
          {"counter.asim cycles=0\n", "counter.asim count=0\n",
           "counter.asim watch=nocolon\n", "counter.asim froz=1\n",
-          "counter.asim cycles\n"}) {
+          "counter.asim cycles\n", "counter.asim count=-1\n",
+          "counter.asim count=2z\n", "counter.asim cycles=5x\n",
+          "counter.asim partitions=-1\n", "counter.asim watch=c:1q\n",
+          "counter.asim count=1000001\n",
+          "counter.asim partitions=257\n"}) {
         std::string path = writeManifest(line);
         BatchRunner runner;
         try {
             runner.loadManifest(path, SimulationOptions{});
             FAIL() << "expected SimError for: " << line;
         } catch (const SimError &e) {
-            EXPECT_NE(std::string(e.what()).find(":1:"),
-                      std::string::npos)
+            EXPECT_EQ(std::string(e.what()).rfind(
+                          "batch manifest " + path + ":1: ", 0),
+                      0u)
                 << e.what();
         }
     }

@@ -407,6 +407,29 @@ TEST(PartitionFacade, PartitionsRequireInterp)
     EXPECT_THROW(Simulation sim(o), SimError);
 }
 
+TEST(PartitionFacade, LaneCountIsBounded)
+{
+    // Every lane is an OS thread; counts come from outside the
+    // program. The small spec stays serial, so neither case starts
+    // any lane.
+    SimulationOptions o;
+    o.specText = chainsSpec(4);
+    o.engine = "interp";
+    o.partitions = kPartitionMaxLanes;
+    EXPECT_NO_THROW(Simulation sim(o));
+    o.partitions = kPartitionMaxLanes + 1;
+    try {
+        Simulation sim(o);
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "exceeds the limit of " +
+                      std::to_string(kPartitionMaxLanes)),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(PartitionFacade, CycleReportingMatchesSerial)
 {
     SimulationOptions o;

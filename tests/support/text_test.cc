@@ -64,5 +64,32 @@ TEST(Text, CountOccurrences)
     EXPECT_EQ(countOccurrences("abc", ""), 0);
 }
 
+TEST(Text, ParseIntegerTakesWholeTextInRange)
+{
+    EXPECT_EQ(parseInteger("42", 0, 100, 10), 42);
+    EXPECT_EQ(parseInteger("-7", -10, 10, 10), -7);
+    EXPECT_EQ(parseInteger("+7", 0, 10, 10), 7);
+    EXPECT_EQ(parseInteger("0x1F", 0, 100, 0), 31);
+    EXPECT_EQ(parseInteger("010", 0, 100, 0), 8);
+    EXPECT_EQ(parseInteger("010", 0, 100, 10), 10);
+    EXPECT_EQ(parseInteger("100", 0, 100, 10), 100);
+    EXPECT_EQ(parseInteger("-9223372036854775808", INT64_MIN,
+                           INT64_MAX, 10),
+              INT64_MIN);
+}
+
+TEST(Text, ParseIntegerRefusesMalformedOrOutOfRange)
+{
+    for (const char *bad : {"", "abc", "3x", "5 ", " 5", "0x", "1e3",
+                            "--1", "9223372036854775808"}) {
+        EXPECT_FALSE(parseInteger(bad, INT64_MIN, INT64_MAX, 0))
+            << bad;
+    }
+    EXPECT_FALSE(parseInteger("0x10", 0, 100, 10));
+    EXPECT_FALSE(parseInteger("101", 0, 100, 10));
+    EXPECT_FALSE(parseInteger("-1", 0, 100, 10));
+    EXPECT_FALSE(parseInteger(std::string_view("12\0", 3), 0, 100, 10));
+}
+
 } // namespace
 } // namespace asim
