@@ -17,7 +17,7 @@
  * tables" = parse+resolve); ASIM II = C++ code generation + host g++
  * + native run; plus the bytecode VM as a modern middle point. All
  * rows are driven through the Simulation facade — the three systems
- * differ only by registry name. The absolute numbers are ~10^5
+ * differ only by engine name. The absolute numbers are ~10^5
  * smaller on 2020s hardware; the claims to check are the *ratios*:
  * compiled simulation roughly an order of magnitude faster than
  * interpreted (thesis: ~20x), and preparation dominating the

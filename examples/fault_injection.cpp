@@ -45,8 +45,8 @@ main()
 
     std::cout << "stuck-at-0 sweep over ALU result bus bits:\n";
     for (int bit = 0; bit < 12; ++bit) {
-        Spec faulty = FaultInjectorRegistry::global().get("set0").splice(
-            healthy, "alures", bit);
+        Spec faulty =
+            spliceFault(faultPolicy("set0"), healthy, "alures", bit);
         VectorIo io;
         EngineConfig cfg;
         cfg.io = &io;
@@ -72,8 +72,8 @@ main()
     std::cout << "\nstuck-at-1 on the branch condition path "
                  "(iszero output):\n  ";
     try {
-        Spec faulty = FaultInjectorRegistry::global().get("set1").splice(
-            healthy, "iszero", 0);
+        Spec faulty =
+            spliceFault(faultPolicy("set1"), healthy, "iszero", 0);
         VectorIo io;
         EngineConfig cfg;
         cfg.io = &io;

@@ -32,8 +32,7 @@ main()
 
     // The paper's execution systems, interchangeable by name.
     std::cout << "--- registered engines ----------------------\n";
-    for (const auto &[name, description] :
-         EngineRegistry::global().list())
+    for (const auto &[name, description] : listEngines())
         std::cout << name << ": " << description << "\n";
 
     // One options struct owns the whole parse -> resolve -> engine

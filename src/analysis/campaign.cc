@@ -150,8 +150,7 @@ void
 applyFaultToSnapshot(EngineSnapshot &snap, const ResolvedSpec &rs,
                      const FaultSite &site)
 {
-    const FaultInjector &injector =
-        FaultInjectorRegistry::global().get(site.mode);
+    const FaultPolicy &policy = faultPolicy(site.mode);
     const int mem = rs.memIndex(site.component);
     if (mem < 0 ||
         static_cast<size_t>(mem) >= snap.state.mems.size()) {
@@ -162,10 +161,10 @@ applyFaultToSnapshot(EngineSnapshot &snap, const ResolvedSpec &rs,
     }
     MemoryState &m = snap.state.mems[static_cast<size_t>(mem)];
     if (site.cell < 0) {
-        m.temp = injector.apply(m.temp, site.bit);
+        m.temp = applyFault(policy, m.temp, site.bit);
     } else if (static_cast<size_t>(site.cell) < m.cells.size()) {
-        m.cells[static_cast<size_t>(site.cell)] = injector.apply(
-            m.cells[static_cast<size_t>(site.cell)], site.bit);
+        m.cells[static_cast<size_t>(site.cell)] = applyFault(
+            policy, m.cells[static_cast<size_t>(site.cell)], site.bit);
     } else {
         throw SpecError(
             "Error. Fault cell " + std::to_string(site.cell) +
@@ -194,7 +193,7 @@ CampaignRunner::run()
                        "or script I/O per instance");
     }
     // Unknown policies throw here, before any simulation runs.
-    FaultInjectorRegistry::global().get(o.injector);
+    faultPolicy(o.injector);
 
     const auto t0 = std::chrono::steady_clock::now();
 

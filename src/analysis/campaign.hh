@@ -98,7 +98,8 @@ struct CampaignOptions
      *  names none). */
     uint64_t horizon = 0;
 
-    /** FaultInjectorRegistry policy applied to every sampled site. */
+    /** Fault policy (analysis/fault.hh) applied to every sampled
+     *  site. */
     std::string injector = "toggle";
 
     /** Sample permanent spec splices (re-run from cycle zero)

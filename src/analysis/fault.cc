@@ -46,78 +46,45 @@ throwBitRange(int bit)
                     ".");
 }
 
-class Set0Injector final : public FaultInjector
-{
-  public:
-    const std::string &name() const override
-    {
-        static const std::string n = "set0";
-        return n;
-    }
-    int32_t apply(int32_t value, int bit) const override
-    {
-        return land(value, ~highbit(bit));
-    }
-
-  protected:
-    int32_t spliceAluOp() const override { return kAluAnd; }
-    int32_t spliceMask(int bit) const override
-    {
-        return land(kValueMask, ~highbit(bit));
-    }
-};
-
-class Set1Injector final : public FaultInjector
-{
-  public:
-    const std::string &name() const override
-    {
-        static const std::string n = "set1";
-        return n;
-    }
-    int32_t apply(int32_t value, int bit) const override
-    {
-        return value | highbit(bit);
-    }
-
-  protected:
-    int32_t spliceAluOp() const override { return kAluOr; }
-    int32_t spliceMask(int bit) const override
-    {
-        return highbit(bit);
-    }
-};
-
-class ToggleInjector final : public FaultInjector
-{
-  public:
-    const std::string &name() const override
-    {
-        static const std::string n = "toggle";
-        return n;
-    }
-    int32_t apply(int32_t value, int bit) const override
-    {
-        return value ^ highbit(bit);
-    }
-
-  protected:
-    int32_t spliceAluOp() const override { return kAluXor; }
-    int32_t spliceMask(int bit) const override
-    {
-        return highbit(bit);
-    }
-};
-
 } // namespace
 
-// ---------------------------------------------------------------------
-// FaultInjector — default spec splice
-// ---------------------------------------------------------------------
+const std::array<FaultPolicy, 3> kFaultPolicies = {{
+    {"set0", kAluAnd},
+    {"set1", kAluOr},
+    {"toggle", kAluXor},
+}};
+
+const FaultPolicy &
+faultPolicy(std::string_view name)
+{
+    for (const FaultPolicy &p : kFaultPolicies) {
+        if (name == p.name)
+            return p;
+    }
+    std::string known;
+    for (const FaultPolicy &p : kFaultPolicies)
+        known += std::string(known.empty() ? "" : ", ") + p.name;
+    throw SpecError("Error. Unknown fault injector <" +
+                    std::string(name) +
+                    ">; registered injectors: " + known + ".");
+}
+
+int32_t
+applyFault(const FaultPolicy &policy, int32_t value, int bit)
+{
+    switch (policy.spliceAluOp) {
+      case kAluAnd:
+        return land(value, ~highbit(bit));
+      case kAluOr:
+        return value | highbit(bit);
+      default:
+        return value ^ highbit(bit);
+    }
+}
 
 Spec
-FaultInjector::splice(const Spec &spec, const std::string &comp,
-                      int bit) const
+spliceFault(const FaultPolicy &policy, const Spec &spec,
+            const std::string &comp, int bit)
 {
     if (bit < 0 || bit >= kMaxBits)
         throwBitRange(bit);
@@ -147,75 +114,15 @@ FaultInjector::splice(const Spec &spec, const std::string &comp,
     splice.kind = CompKind::Alu;
     splice.name = comp;
     splice.left = refExpr(shadow);
-    splice.funct = constExpr(spliceAluOp());
-    splice.right = constExpr(spliceMask(bit));
+    splice.funct = constExpr(policy.spliceAluOp);
+    splice.right = constExpr(policy.spliceAluOp == kAluAnd
+                                 ? land(kValueMask, ~highbit(bit))
+                                 : highbit(bit));
     out.comps.push_back(std::move(splice));
 
     // The shadow needs a declaration entry (untraced); the original
     // declaration keeps tracing the *observed* (faulty) value.
     out.decls.push_back(DeclName{shadow, false});
-    return out;
-}
-
-// ---------------------------------------------------------------------
-// FaultInjectorRegistry
-// ---------------------------------------------------------------------
-
-FaultInjectorRegistry &
-FaultInjectorRegistry::global()
-{
-    static FaultInjectorRegistry *reg = [] {
-        auto *r = new FaultInjectorRegistry;
-        r->add(std::make_unique<Set0Injector>());
-        r->add(std::make_unique<Set1Injector>());
-        r->add(std::make_unique<ToggleInjector>());
-        return r;
-    }();
-    return *reg;
-}
-
-void
-FaultInjectorRegistry::add(std::unique_ptr<FaultInjector> injector)
-{
-    const std::string &name = injector->name();
-    auto [it, inserted] =
-        entries_.try_emplace(name, std::move(injector));
-    if (!inserted) {
-        throw SpecError("Error. Fault injector <" + name +
-                        "> is already registered.");
-    }
-}
-
-bool
-FaultInjectorRegistry::contains(std::string_view name) const
-{
-    return entries_.find(name) != entries_.end();
-}
-
-const FaultInjector &
-FaultInjectorRegistry::get(std::string_view name) const
-{
-    auto it = entries_.find(name);
-    if (it == entries_.end()) {
-        std::string known;
-        for (const auto &[n, entry] : entries_) {
-            if (!known.empty())
-                known += ", ";
-            known += n;
-        }
-        throw SpecError("Error. Unknown fault injector <" +
-                        std::string(name) +
-                        ">; registered injectors: " + known + ".");
-    }
-    return *it->second;
-}
-
-std::vector<std::string>
-FaultInjectorRegistry::list() const
-{
-    std::vector<std::string> out;
-    for (const auto &[name, entry] : entries_)
-        out.push_back(name);
     return out;
 }
 
@@ -316,7 +223,7 @@ formatFaultSite(const FaultSite &site)
 void
 validateFaultSite(const ResolvedSpec &rs, const FaultSite &site)
 {
-    FaultInjectorRegistry::global().get(site.mode); // throws unknown
+    faultPolicy(site.mode); // throws unknown
     if (site.bit < 0 || site.bit >= kMaxBits)
         throwBitRange(site.bit);
 

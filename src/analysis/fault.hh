@@ -1,6 +1,6 @@
 /**
  * @file
- * Fault injection (thesis §2.3.2) behind a pluggable injector policy.
+ * Fault injection (thesis §2.3.2): three fixed bit-level policies.
  *
  * The thesis names fault injection — "inserting a fault in the
  * specification to cause errors (by design) in the simulation run" —
@@ -9,8 +9,8 @@
  * driver that fans injections out at scale lives in
  * analysis/campaign.hh.
  *
- * A FaultInjector is one bit-level perturbation policy ("set0",
- * "set1", "toggle") usable at two sites:
+ * A FaultPolicy is one bit-level perturbation ("set0", "set1",
+ * "toggle") usable at two sites:
  *
  *  - **spec splice** (permanent stuck-at): the faulted component is
  *    renamed and an ALU is spliced in under the original name that
@@ -23,10 +23,9 @@
  *    are recomputed every cycle, so only memory state is a valid
  *    target.
  *
- * Injectors are string-keyed in a process-wide registry mirroring the
- * engine registry idiom (sim/simulation.hh), so campaigns, the CLI,
- * and batch manifests name policies uniformly and new policies bolt
- * on without touching call sites.
+ * The policies are one fixed table (kFaultPolicies), one row per
+ * policy holding its name and splice ALU op; campaigns, the CLI and
+ * batch manifests all name policies through it.
  *
  * The textual fault grammar shared by `asim-run --inject=`, the
  * batch-manifest `fault=` key, and campaign reports is
@@ -34,7 +33,7 @@
  *     component[cell]:bit:mode[@cycle]
  *
  * where `[cell]` (optional) addresses one memory cell, `bit` is the
- * target bit (0..30), `mode` is a registry key, and `@cycle`
+ * target bit (0..30), `mode` names a policy, and `@cycle`
  * (optional) selects transient state injection at that cycle boundary
  * instead of a permanent spec splice. parseFaultSite() /
  * validateFaultSite() are the single parse/validation path, so a bad
@@ -45,12 +44,10 @@
 #ifndef ASIM_ANALYSIS_FAULT_HH
 #define ASIM_ANALYSIS_FAULT_HH
 
+#include <array>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "lang/ast.hh"
 
@@ -59,68 +56,44 @@ namespace asim {
 struct ResolvedSpec;
 
 /** One bit-level fault policy; see the file comment for the two
- *  injection sites. Implementations are stateless and shared. */
-class FaultInjector
+ *  injection sites. */
+struct FaultPolicy
 {
-  public:
-    virtual ~FaultInjector() = default;
+    /** The `mode` of the fault grammar ("set0", "set1", "toggle"). */
+    const char *name;
 
-    /** Registry key ("set0", "set1", "toggle"). */
-    virtual const std::string &name() const = 0;
-
-    /** State-injection site: return `value` with bit `bit` perturbed
-     *  under this policy. `bit` must be in 0..30 (31-bit words,
-     *  support/bitops.hh). */
-    virtual int32_t apply(int32_t value, int bit) const = 0;
-
-    /**
-     * Spec-splice site: return a copy of `spec` where bit `bit` of
-     * component `comp` is permanently perturbed under this policy.
-     *
-     * The victim is renamed `<comp>FAULTED` and an ALU is spliced in
-     * under the original name computing `shadow <op> mask`. For a
-     * memory victim the splice observes the output latch, adding one
-     * combinational stage but no extra cycle of delay.
-     *
-     * @throws SpecError if `comp` does not exist, `bit` is out of
-     *         range, or `<comp>FAULTED` already exists
-     */
-    virtual Spec splice(const Spec &spec, const std::string &comp,
-                        int bit) const;
-
-  protected:
-    /// @{ The ALU function and right-operand mask the default
-    /// splice() wires in: `faulted = shadow <aluOp> mask(bit)`.
-    virtual int32_t spliceAluOp() const = 0;
-    virtual int32_t spliceMask(int bit) const = 0;
-    /// @}
+    /** The ALU function the spec splice wires in (AND, OR or XOR);
+     *  it also selects the state-injection perturbation. */
+    int32_t spliceAluOp;
 };
 
-/** String-keyed table of fault policies, mirroring EngineRegistry. */
-class FaultInjectorRegistry
-{
-  public:
-    /** The process-wide registry, pre-populated with "set0" (stuck-
-     *  at-0), "set1" (stuck-at-1), and "toggle" (bit flip / XOR). */
-    static FaultInjectorRegistry &global();
+/** The three policies, sorted by name: "set0" (stuck-at-0, AND),
+ *  "set1" (stuck-at-1, OR) and "toggle" (bit flip, XOR). */
+extern const std::array<FaultPolicy, 3> kFaultPolicies;
 
-    /** Register a policy under injector->name().
-     *  @throws SpecError on a duplicate name */
-    void add(std::unique_ptr<FaultInjector> injector);
+/** Look up a policy by name. @throws SpecError naming the policies
+ *  when `name` is unknown */
+const FaultPolicy &faultPolicy(std::string_view name);
 
-    bool contains(std::string_view name) const;
+/** State-injection site: return `value` with bit `bit` perturbed
+ *  under `policy`. `bit` must be in 0..30 (31-bit words,
+ *  support/bitops.hh). */
+int32_t applyFault(const FaultPolicy &policy, int32_t value, int bit);
 
-    /** Look up a policy by name. @throws SpecError naming the
-     *  registered policies when `name` is unknown */
-    const FaultInjector &get(std::string_view name) const;
-
-    /** All registered policy names, sorted. */
-    std::vector<std::string> list() const;
-
-  private:
-    std::map<std::string, std::unique_ptr<FaultInjector>, std::less<>>
-        entries_;
-};
+/**
+ * Spec-splice site: return a copy of `spec` where bit `bit` of
+ * component `comp` is permanently perturbed under `policy`.
+ *
+ * The victim is renamed `<comp>FAULTED` and an ALU is spliced in
+ * under the original name computing `shadow <op> mask`. For a
+ * memory victim the splice observes the output latch, adding one
+ * combinational stage but no extra cycle of delay.
+ *
+ * @throws SpecError if `comp` does not exist, `bit` is out of
+ *         range, or `<comp>FAULTED` already exists
+ */
+Spec spliceFault(const FaultPolicy &policy, const Spec &spec,
+                 const std::string &comp, int bit);
 
 /** One parsed fault: where, which bit, which policy, and when. */
 struct FaultSite
@@ -134,7 +107,7 @@ struct FaultSite
 
     int bit = 0;
 
-    /** FaultInjectorRegistry key. */
+    /** FaultPolicy name. */
     std::string mode = "toggle";
 
     /** State-injection cycle boundary; meaningful when atCycle. The
@@ -160,7 +133,7 @@ std::string formatFaultSite(const FaultSite &site);
 
 /**
  * Validate a parsed fault against a resolved specification: the
- * component exists, the mode is registered, cell faults address a
+ * component exists, the mode names a policy, cell faults address a
  * real memory cell, and state injection (`@cycle`) targets memory
  * (combinational outputs are recomputed every cycle and hold no
  * state). @throws SpecError with the shared error texts

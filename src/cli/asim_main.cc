@@ -112,8 +112,7 @@ optionTable(Cli &c)
           [&](auto &) { c.opts.config.aluSemantics = AluSemantics::Fixed; });
     t.add("--list-engines", "", "list registered engines and exit",
           [](auto &) {
-              for (const auto &[name, about] :
-                   EngineRegistry::global().list())
+              for (const auto &[name, about] : listEngines())
                   std::cout << name << "\t" << about << "\n";
               std::exit(0);
           });
@@ -151,8 +150,8 @@ optionTable(Cli &c)
            &c.campaign.splice);
     t.add("--list-injectors", "", "list registered fault injectors and exit",
           [](auto &) {
-              for (const auto &name : FaultInjectorRegistry::global().list())
-                  std::cout << name << "\n";
+              for (const FaultPolicy &p : kFaultPolicies)
+                  std::cout << p.name << "\n";
               std::exit(0);
           });
 
@@ -177,8 +176,11 @@ optionTable(Cli &c)
            &c.batch.checkpointDir);
 
     t.section("Remote mode (drive an asim-serve daemon, DESIGN.md §9):");
-    t.text("--connect", "ENDPOINT", "unix:PATH, tcp:HOST:PORT or a path",
-           &c.endpoint);
+    t.add("--connect", "ENDPOINT", "unix:PATH, tcp:HOST:PORT or a path",
+          [&](auto &v) {
+              parseEndpoint(v);
+              c.endpoint = v;
+          });
     t.text("--session", "NAME", "session name (default: spec basename)",
            &c.session);
     t.flag("--evict", "park the session to disk after the run",

@@ -8,15 +8,16 @@
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <type_traits>
 
 #include <dlfcn.h>
 
 #include "codegen/cpp_backend.hh"
 #include "support/logging.hh"
+#include "support/metrics.hh"
 #include "support/serialize.hh"
 #include "support/text.hh"
+#include "support/tracing.hh"
 
 namespace asim {
 
@@ -28,15 +29,6 @@ double
 seconds(Clock::time_point a, Clock::time_point b)
 {
     return std::chrono::duration<double>(b - a).count();
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
 }
 
 void
@@ -125,6 +117,8 @@ NativeBuild
 compileSpec(const ResolvedSpec &rs, const CodegenOptions &opts,
             std::string workDir)
 {
+    tracing::Span span("native.compile", "lifecycle");
+    const uint64_t t0 = metrics::timingEnabled() ? metrics::nowNs() : 0;
     if (!hostCompilerAvailable())
         throw SimError("no host C++ compiler (g++) available");
 
@@ -168,6 +162,12 @@ compileSpec(const ResolvedSpec &rs, const CodegenOptions &opts,
     }
     if (engine)
         loadEngine(build);
+    if (t0) {
+        static metrics::Histogram &compileNs = metrics::histogram(
+            "native.compile_ns",
+            metrics::Histogram::exponentialBounds(1000000, 2.0, 16));
+        compileNs.record(metrics::nowNs() - t0);
+    }
     return build;
 }
 
@@ -256,8 +256,8 @@ runBinary(const NativeBuild &build, int64_t cycles,
               " < '" + inPath + "' > '" + outPath + "' 2> '" + errPath +
               "'");
     run.runSeconds = seconds(r0, Clock::now());
-    run.stdoutText = readFile(outPath);
-    run.stderrText = readFile(errPath);
+    run.stdoutText = readFile(outPath).value_or("");
+    run.stderrText = readFile(errPath).value_or("");
 
     // The program self-times its loop and reports SIM_NS on stderr.
     size_t at = run.stderrText.find("SIM_NS=");

@@ -120,7 +120,9 @@ bool hostCompilerAvailable();
 /**
  * Generate C++ for `rs` and compile it with the host compiler; an
  * engine build (opts.emitServeLoop) is compiled as a shared object
- * and loaded.
+ * and loaded. Every call is one `native.compile` span and, with
+ * timing on, one `native.compile_ns` sample, whichever route
+ * (cache, workDir, direct) asked for it.
  *
  * @param workDir directory for artifacts; empty = fresh temp dir
  *        (recorded in the returned NativeBuild::workDir — the caller

@@ -10,6 +10,7 @@
 #include "sim/checkpoint.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "support/text.hh"
 #include "support/tracing.hh"
 
 namespace asim::serve {
@@ -437,17 +438,10 @@ std::shared_ptr<ServeServer::Session>
 ServeServer::sessionFromMeta(const std::string &name) const
 {
     const std::string path = metaPath(name);
-    std::string bytes;
-    {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        if (!f)
-            return nullptr;
-        char buf[1 << 16];
-        size_t got;
-        while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-            bytes.append(buf, got);
-        std::fclose(f);
-    }
+    const auto found = readFile(path);
+    if (!found)
+        return nullptr;
+    const std::string &bytes = *found;
     if (bytes.size() < 4)
         throw SimError(path + ": truncated session meta");
     std::string_view payload(bytes.data(), bytes.size() - 4);

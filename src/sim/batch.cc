@@ -68,19 +68,6 @@ jsonEscape(const std::string &s)
 }
 
 std::string
-readFileOr(const std::string &path, bool *found = nullptr)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (found)
-        *found = static_cast<bool>(in);
-    if (!in)
-        return "";
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
-std::string
 defaultLabel(const BatchJob &job)
 {
     if (!job.label.empty())
@@ -250,13 +237,10 @@ BatchRunner::resumeFromCheckpoints()
     size_t affected = 0;
     for (size_t i = 0; i < jobs_.size(); ++i) {
         ResumePlan &plan = plans_[i];
-        bool found = false;
-        std::string marker = readFileOr(instancePath(i, ".done"),
-                                        &found);
-        if (found) {
+        if (auto marker = readFile(instancePath(i, ".done"))) {
             unsigned long long cycles = 0;
             int watch = 0;
-            if (std::sscanf(marker.c_str(), "%llu %d", &cycles,
+            if (std::sscanf(marker->c_str(), "%llu %d", &cycles,
                             &watch) != 2) {
                 throw SimError("corrupt batch completion marker " +
                                instancePath(i, ".done"));
@@ -334,10 +318,10 @@ BatchRunner::run()
     // or its tag does not match `cycle`.
     auto loadTaggedAt = [&](size_t i, const char *ext, uint64_t cycle,
                             std::string *text) {
-        bool found = false;
-        std::string blob = readFileOr(instancePath(i, ext), &found);
+        auto found = readFile(instancePath(i, ext));
         if (!found)
             return false;
+        const std::string &blob = *found;
         char *end = nullptr;
         unsigned long long tag = std::strtoull(blob.c_str(), &end, 10);
         if (end == blob.c_str() || *end != '\n' || tag != cycle)
@@ -672,6 +656,12 @@ BatchRunner::loadManifest(const std::string &path,
             }
         }
 
+        // A single job would only meet an unreadable spec at run();
+        // name the line here, whatever the count.
+        if (!std::ifstream(job.options.specFile)) {
+            throw bad("cannot read spec file " +
+                      job.options.specFile);
+        }
         if (count > 1)
             addBatch(std::move(job), count);
         else

@@ -1,10 +1,9 @@
 #include "sim/checkpoint.hh"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "support/serialize.hh"
+#include "support/text.hh"
 
 namespace asim {
 
@@ -20,16 +19,12 @@ constexpr uint64_t kMaxCells = 1u << 28;
 constexpr uint64_t kMaxNameLen = 1u << 12;
 
 std::string
-readFile(const std::string &path)
+readCheckpoint(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    auto bytes = readFile(path);
+    if (!bytes)
         throw SimError("cannot read checkpoint " + path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    if (in.bad())
-        throw SimError("cannot read checkpoint " + path);
-    return os.str();
+    return std::move(*bytes);
 }
 
 std::string
@@ -198,7 +193,7 @@ EngineSnapshot
 loadCheckpoint(const std::string &path, const ResolvedSpec &rs)
 {
     CheckpointInfo ci;
-    EngineSnapshot snap = decodeCheckpoint(readFile(path), path, &ci);
+    EngineSnapshot snap = decodeCheckpoint(readCheckpoint(path), path, &ci);
 
     uint64_t expect = specIdentityHash(rs);
     if (ci.specHash != expect) {
@@ -230,7 +225,7 @@ CheckpointInfo
 peekCheckpoint(const std::string &path)
 {
     CheckpointInfo ci;
-    decodeCheckpoint(readFile(path), path, &ci);
+    decodeCheckpoint(readCheckpoint(path), path, &ci);
     return ci;
 }
 

@@ -2,45 +2,27 @@
 
 #include <algorithm>
 
-#include "support/metrics.hh"
-#include "support/tracing.hh"
-
 namespace asim {
 
 NativeEngine::NativeEngine(std::shared_ptr<const ResolvedSpec> rs,
-                           const EngineConfig &cfg, Options opts)
-    : Engine(std::move(rs), cfg), flat_(nativeStateWords(*rs_))
+                           const EngineConfig &cfg,
+                           std::shared_ptr<const NativeBuild> build)
+    : Engine(std::move(rs), cfg), build_(std::move(build)),
+      flat_(nativeStateWords(*rs_))
 {
-    if (opts.prebuilt) {
-        build_ = std::move(opts.prebuilt);
-        if (!build_->abi.create) {
-            throw SimError("shared native build is a standalone "
-                           "program, not an engine build");
-        }
-        if (cfg.trace && !build_->emitsTrace) {
-            throw SimError("shared native build was compiled without "
-                           "trace output but a trace sink is "
-                           "configured");
-        }
-        if (build_->aluSemantics != cfg.aluSemantics) {
-            throw SimError("shared native build was compiled with "
-                           "different ALU semantics than this "
-                           "engine's configuration");
-        }
-    } else {
-        opts.codegen.aluSemantics = cfg.aluSemantics;
-        opts.codegen.emitTrace = cfg.trace != nullptr;
-        opts.codegen.emitServeLoop = true;
-        tracing::Span span("native.compile", "lifecycle");
-        const uint64_t t0 =
-            metrics::timingEnabled() ? metrics::nowNs() : 0;
-        build_ = compileSpecShared(*rs_, opts.codegen, opts.workDir);
-        if (t0) {
-            metrics::histogram("native.compile_ns",
-                               metrics::Histogram::exponentialBounds(
-                                   1000000, 2.0, 16))
-                .record(metrics::nowNs() - t0);
-        }
+    if (!build_->abi.create) {
+        throw SimError("shared native build is a standalone "
+                       "program, not an engine build");
+    }
+    if (cfg.trace && !build_->emitsTrace) {
+        throw SimError("shared native build was compiled without "
+                       "trace output but a trace sink is "
+                       "configured");
+    }
+    if (build_->aluSemantics != cfg.aluSemantics) {
+        throw SimError("shared native build was compiled with "
+                       "different ALU semantics than this "
+                       "engine's configuration");
     }
 
     // Captureless lambdas in a member function: they reach the

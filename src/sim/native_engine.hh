@@ -2,13 +2,16 @@
  * @file
  * NativeEngine — the full ASIM II pipeline (generate C++ -> host
  * compiler -> native execution, thesis §5.2) wrapped as a true Engine
- * subclass, registered as "native" in the EngineRegistry so all three
- * of the paper's execution systems are interchangeable by name.
+ * subclass, the "native" row of the engine table (sim/simulation.hh)
+ * so all three of the paper's execution systems are interchangeable
+ * by name.
  *
  * The generated simulator runs in process: the engine build is a
  * shared object (CodegenOptions::emitServeLoop) loaded once per
- * NativeBuild, and each engine instance owns one machine created off
- * it through the C ABI of codegen/native.hh (DESIGN.md §5):
+ * NativeBuild. The engine does not compile: the Simulation facade
+ * gets the build (its one native-build route) and hands it in, and
+ * each engine instance owns one machine created off it through the C
+ * ABI of codegen/native.hh (DESIGN.md §5):
  *
  *  - cycles: run(n) is one call into the generated cycle loop;
  *  - I/O and trace: the generated code calls back into the
@@ -31,7 +34,6 @@
 #define ASIM_SIM_NATIVE_ENGINE_HH
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "codegen/native.hh"
@@ -39,45 +41,18 @@
 
 namespace asim {
 
-/** See file comment. Usually constructed via the EngineRegistry as
+/** See file comment. Usually constructed by the Simulation facade as
  *  engine "native". */
 class NativeEngine : public Engine
 {
   public:
-    struct Options
-    {
-        /** Artifact directory; empty = fresh temp dir owned (and
-         *  removed) by the engine. Ignored with `prebuilt`. */
-        std::string workDir;
-
-        /** Code generation knobs; aluSemantics, emitTrace and
-         *  emitServeLoop are overridden from the EngineConfig.
-         *  Ignored with `prebuilt`. */
-        CodegenOptions codegen;
-
-        /** Adopt an already-compiled engine build instead of
-         *  compiling: a homogeneous batch compiles once and every
-         *  instance creates its own machine off this shared build
-         *  (Simulation::shareBatchArtifacts). Must be an engine build
-         *  and emit trace whenever the EngineConfig carries a trace
-         *  sink. */
-        std::shared_ptr<const NativeBuild> prebuilt;
-    };
-
-    /** Generates, host-compiles and loads the simulator (unless
-     *  Options::prebuilt short-circuits that), then creates this
-     *  instance's machine. @throws SimError when no host compiler is
-     *  available or compilation fails */
+    /** Create this instance's machine off `build`, which any number
+     *  of instances may share. @throws SimError when `build` is not
+     *  an engine build, lacks trace output while `cfg` carries a
+     *  trace sink, or bakes in other ALU semantics than `cfg` */
     NativeEngine(std::shared_ptr<const ResolvedSpec> rs,
-                 const EngineConfig &cfg, Options opts);
-    NativeEngine(const ResolvedSpec &rs, const EngineConfig &cfg,
-                 Options opts)
-        : NativeEngine(std::make_shared<const ResolvedSpec>(rs), cfg,
-                       std::move(opts))
-    {}
-    NativeEngine(const ResolvedSpec &rs, const EngineConfig &cfg)
-        : NativeEngine(rs, cfg, Options())
-    {}
+                 const EngineConfig &cfg,
+                 std::shared_ptr<const NativeBuild> build);
     ~NativeEngine() override;
 
     NativeEngine(const NativeEngine &) = delete;

@@ -124,8 +124,8 @@ PartitionPlan buildPartitionPlan(const ResolvedSpec &rs,
  * to Interpreter (it *is* an Interpreter driving the same protected
  * per-component operations from worker threads); see the file comment
  * for the phase schedule and determinism argument. Construct via
- * makePartitionedInterpreter() or the "interp" registry factory with
- * SimulationOptions::partitions >= 2.
+ * makePartitionedInterpreter() or the Simulation facade's "interp"
+ * engine with SimulationOptions::partitions >= 2.
  */
 class PartitionedInterpreter : public Interpreter
 {

@@ -20,130 +20,56 @@
 
 namespace asim {
 
-// EngineContext/SimulationOptions repeat the threshold as a literal
-// default (256) to keep this header out of simulation.hh; catch
-// drift here.
+// SimulationOptions repeats the threshold as a literal default (256)
+// to keep this header out of simulation.hh; catch drift here.
 static_assert(kPartitionAutoThreshold == 256);
 
-// ---------------------------------------------------------------------
-// EngineRegistry
-// ---------------------------------------------------------------------
+namespace {
 
-EngineRegistry &
-EngineRegistry::global()
-{
-    using SharedSpec = std::shared_ptr<const ResolvedSpec>;
-    static EngineRegistry *reg = [] {
-        auto *r = new EngineRegistry;
-        r->add("interp",
-               "slot-resolved table interpreter (ASIM analog); "
+constexpr EngineInfo kEngines[] = {
+    {"interp", "slot-resolved table interpreter (ASIM analog); "
                "--partitions=N runs one design bulk-synchronously "
-               "across N lanes",
-               [](const SharedSpec &rs, const EngineContext &ctx) {
-                   if (ctx.partitions >= 2 &&
-                       rs->comb.size() >= ctx.partitionMinComponents) {
-                       return makePartitionedInterpreter(
-                           rs, ctx.config, ctx.partitions);
-                   }
-                   return makeInterpreter(rs, ctx.config);
-               });
-        r->add("symbolic",
-               "name-lookup symbolic interpreter (faithful ASIM "
-               "baseline)",
-               [](const SharedSpec &rs, const EngineContext &ctx) {
-                   return makeSymbolicInterpreter(rs, ctx.config);
-               });
-        r->add("vm", "compiled bytecode VM (portable ASIM II analog)",
-               [](const SharedSpec &rs, const EngineContext &ctx) {
-                   if (ctx.program)
-                       return makeVm(rs, ctx.config, ctx.program);
-                   return makeVm(rs, ctx.config, ctx.compiler);
-               });
-        r->add("native",
-               "generated C++ through the host compiler, loaded in "
-               "process as a shared object (ASIM II pipeline)",
-               [](const SharedSpec &rs, const EngineContext &ctx) {
-                   NativeEngine::Options no;
-                   no.workDir = ctx.workDir;
-                   no.prebuilt = ctx.nativeBuild;
-                   no.codegen.inlineConstAlu =
-                       ctx.compiler.inlineConstAlu;
-                   no.codegen.specializeConstMem =
-                       ctx.compiler.specializeConstMem;
-                   if (!no.prebuilt && no.workDir.empty()) {
-                       // Cross-job build cache: identical
-                       // (spec, options) constructions — repeated
-                       // manifest rows especially — share one
-                       // generate+compile.
-                       CodegenOptions cg = no.codegen;
-                       cg.aluSemantics = ctx.config.aluSemantics;
-                       cg.emitTrace = ctx.config.trace != nullptr;
-                       cg.emitServeLoop = true;
-                       no.prebuilt = compileSpecCached(
-                           *rs, cg, specIdentityHash(*rs));
-                   }
-                   return std::make_unique<NativeEngine>(
-                       rs, ctx.config, std::move(no));
-               });
-        return r;
-    }();
-    return *reg;
-}
+               "across N lanes"},
+    {"native", "generated C++ through the host compiler, loaded in "
+               "process as a shared object (ASIM II pipeline)"},
+    {"symbolic", "name-lookup symbolic interpreter (faithful ASIM "
+                 "baseline)"},
+    {"vm", "compiled bytecode VM (portable ASIM II analog)"},
+};
 
+/** @throws SimError naming the engines when `name` is none of them */
 void
-EngineRegistry::add(const std::string &name,
-                    const std::string &description, Factory factory)
-{
-    auto [it, inserted] = entries_.try_emplace(
-        name, Entry{std::move(factory), description});
-    if (!inserted)
-        throw SimError("engine <" + name + "> is already registered");
-}
-
-bool
-EngineRegistry::contains(std::string_view name) const
-{
-    return entries_.find(name) != entries_.end();
-}
-
-std::vector<std::pair<std::string, std::string>>
-EngineRegistry::list() const
-{
-    std::vector<std::pair<std::string, std::string>> out;
-    for (const auto &[name, entry] : entries_)
-        out.emplace_back(name, entry.description);
-    return out;
-}
-
-std::unique_ptr<Engine>
-EngineRegistry::make(std::string_view name,
-                     const std::shared_ptr<const ResolvedSpec> &rs,
-                     const EngineContext &ctx) const
-{
-    auto it = entries_.find(name);
-    if (it == entries_.end())
-        throwUnknown(name);
-    return it->second.factory(rs, ctx);
-}
-
-void
-EngineRegistry::throwUnknown(std::string_view name) const
+requireEngine(const std::string &name)
 {
     std::string known;
-    for (const auto &[n, entry] : entries_) {
-        if (!known.empty())
-            known += ", ";
-        known += n;
+    for (const EngineInfo &e : kEngines) {
+        if (name == e.name)
+            return;
+        known += std::string(known.empty() ? "" : ", ") + e.name;
     }
-    throw SimError("unknown engine <" + std::string(name) +
+    throw SimError("unknown engine <" + name +
                    ">; registered engines: " + known);
 }
 
-// ---------------------------------------------------------------------
-// Simulation
-// ---------------------------------------------------------------------
-
-namespace {
+/** The one route to a native engine build: the codegen options follow
+ *  from `opts`, and the build comes from the process-wide build cache,
+ *  or from `opts.workDir` when one is pinned. Each real compile is
+ *  timed inside compileSpec (native.compile, native.compile_ns), so a
+ *  cache hit records nothing. */
+std::shared_ptr<const NativeBuild>
+buildNative(const ResolvedSpec &rs, const SimulationOptions &opts,
+            bool tracingPossible)
+{
+    CodegenOptions cg;
+    cg.inlineConstAlu = opts.compiler.inlineConstAlu;
+    cg.specializeConstMem = opts.compiler.specializeConstMem;
+    cg.aluSemantics = opts.config.aluSemantics;
+    cg.emitTrace = tracingPossible;
+    cg.emitServeLoop = true;
+    if (!opts.workDir.empty())
+        return compileSpecShared(rs, cg, opts.workDir);
+    return compileSpecCached(rs, cg, specIdentityHash(rs));
+}
 
 int
 sourceCount(const SimulationOptions &opts)
@@ -153,6 +79,12 @@ sourceCount(const SimulationOptions &opts)
 }
 
 } // namespace
+
+std::span<const EngineInfo>
+listEngines()
+{
+    return kEngines;
+}
 
 ResolvedSpec
 Simulation::loadSpec(const SimulationOptions &opts, Diagnostics *diag)
@@ -168,15 +100,14 @@ Simulation::loadSpec(const SimulationOptions &opts, Diagnostics *diag)
     if (!opts.fault.empty()) {
         FaultSite site = parseFaultSite(opts.fault);
         if (!site.atCycle) {
-            const FaultInjector &injector =
-                FaultInjectorRegistry::global().get(site.mode);
+            const FaultPolicy &policy = faultPolicy(site.mode);
             Spec spec = opts.resolved
                             ? opts.resolved->spec
                             : (!opts.specFile.empty()
                                    ? parseSpecFile(opts.specFile, diag)
                                    : parseSpec(opts.specText, diag));
             return resolve(
-                injector.splice(spec, site.component, site.bit),
+                spliceFault(policy, spec, site.component, site.bit),
                 diag);
         }
         ResolvedSpec rs =
@@ -257,22 +188,7 @@ Simulation::Simulation(const SimulationOptions &opts)
         faultArmed_ = true;
     }
 
-    EngineRegistry &reg = EngineRegistry::global();
-    if (!reg.contains(engineName_)) {
-        EngineContext dummy;
-        reg.make(engineName_, rs_, dummy); // throws, naming engines
-    }
-
-    EngineContext ctx;
-    ctx.config = opts.config;
-    ctx.compiler = opts.compiler;
-    // A splice fault re-resolved the spec above; shared artifacts
-    // compiled from the healthy spec no longer match it.
-    if (!spliceFault) {
-        ctx.program = opts.program;
-        ctx.nativeBuild = opts.nativeBuild;
-    }
-    ctx.workDir = opts.workDir;
+    requireEngine(engineName_);
     if (opts.partitions >= 2 && engineName_ != "interp") {
         throw SimError("engine <" + engineName_ +
                        "> does not support partitioned execution; "
@@ -283,12 +199,10 @@ Simulation::Simulation(const SimulationOptions &opts)
                        " exceeds the limit of " +
                        std::to_string(kPartitionMaxLanes) + " lanes");
     }
-    ctx.partitions = opts.partitions;
-    ctx.partitionMinComponents = opts.partitionMinComponents;
 
+    EngineConfig cfg = opts.config;
     std::ostream *out = opts.ioOut ? opts.ioOut : &std::cout;
-
-    if (!ctx.config.io) {
+    if (!cfg.io) {
         switch (opts.ioMode) {
           case IoMode::Null:
             break;
@@ -302,12 +216,11 @@ Simulation::Simulation(const SimulationOptions &opts)
                 std::make_unique<ScriptIo>(opts.scriptInputs, *out);
             break;
         }
-        ctx.config.io = ownedIo_.get();
+        cfg.io = ownedIo_.get();
     }
-
-    if (!ctx.config.trace && opts.traceStream) {
+    if (!cfg.trace && opts.traceStream) {
         ownedTrace_ = std::make_unique<StreamTrace>(*opts.traceStream);
-        ctx.config.trace = ownedTrace_.get();
+        cfg.trace = ownedTrace_.get();
     }
 
     {
@@ -317,7 +230,29 @@ Simulation::Simulation(const SimulationOptions &opts)
         tracing::Span span("sim.build_engine", "lifecycle");
         if (span.live())
             span.setArgs("\"engine\":\"" + engineName_ + "\"");
-        engine_ = reg.make(engineName_, rs_, ctx);
+        // A splice fault re-resolved the spec above, so shared
+        // artifacts compiled from the healthy spec no longer match.
+        if (engineName_ == "interp") {
+            if (opts.partitions >= 2 &&
+                rs_->comb.size() >= opts.partitionMinComponents) {
+                engine_ = makePartitionedInterpreter(rs_, cfg,
+                                                     opts.partitions);
+            } else {
+                engine_ = makeInterpreter(rs_, cfg);
+            }
+        } else if (engineName_ == "symbolic") {
+            engine_ = makeSymbolicInterpreter(rs_, cfg);
+        } else if (engineName_ == "vm") {
+            engine_ = opts.program && !spliceFault
+                          ? makeVm(rs_, cfg, opts.program)
+                          : makeVm(rs_, cfg, opts.compiler);
+        } else {
+            engine_ = std::make_unique<NativeEngine>(
+                rs_, cfg,
+                opts.nativeBuild && !spliceFault
+                    ? opts.nativeBuild
+                    : buildNative(*rs_, opts, cfg.trace != nullptr));
+        }
     }
     metrics::counter("sim.engines_built." + engineName_).add();
 }
@@ -360,24 +295,11 @@ Simulation::shareBatchArtifacts(const SimulationOptions &opts,
                            tracingPossible));
     }
     if (shared.engine == "native" && !shared.nativeBuild) {
-        // One generated+host-compiled engine build for the whole
-        // batch; each instance creates its own machine off it. Routed
-        // through the cross-job build cache (unless an explicit
-        // workDir pins the artifacts), so repeated batches of the
-        // same machine also share one compile.
-        CodegenOptions cg;
-        cg.inlineConstAlu = shared.compiler.inlineConstAlu;
-        cg.specializeConstMem = shared.compiler.specializeConstMem;
-        cg.aluSemantics = shared.config.aluSemantics;
-        cg.emitTrace = tracingPossible;
-        cg.emitServeLoop = true;
+        // One engine build for the whole batch; each instance creates
+        // its own machine off it.
         tracing::Span span("sim.compile.native", "lifecycle");
         shared.nativeBuild =
-            shared.workDir.empty()
-                ? compileSpecCached(*shared.resolved, cg,
-                                    specIdentityHash(*shared.resolved))
-                : compileSpecShared(*shared.resolved, cg,
-                                    shared.workDir);
+            buildNative(*shared.resolved, shared, tracingPossible);
     }
     return shared;
 }
@@ -462,17 +384,22 @@ Simulation::run(uint64_t cycles)
         // the engines accumulate SimStats in locals and flush at run
         // exit, so the deltas here are one subtraction, not a
         // per-cycle tax.
+        if (!runNsMetric_) {
+            cyclesMetric_ = &metrics::counter("engine.cycles." +
+                                              engineName_);
+            aluEvalsMetric_ = &metrics::counter("engine.alu_evals." +
+                                                engineName_);
+            selEvalsMetric_ = &metrics::counter("engine.sel_evals." +
+                                                engineName_);
+            runNsMetric_ = &metrics::histogram(
+                "engine.run_ns." + engineName_,
+                metrics::Histogram::exponentialBounds(1000, 4.0, 16));
+        }
         const SimStats &end = engine_->stats();
-        metrics::counter("engine.cycles." + engineName_)
-            .add(engine_->cycle() - startCycle);
-        metrics::counter("engine.alu_evals." + engineName_)
-            .add(end.aluEvals - startAlu);
-        metrics::counter("engine.sel_evals." + engineName_)
-            .add(end.selEvals - startSel);
-        metrics::histogram("engine.run_ns." + engineName_,
-                           metrics::Histogram::exponentialBounds(
-                               1000, 4.0, 16))
-            .record(metrics::nowNs() - t0);
+        cyclesMetric_->add(engine_->cycle() - startCycle);
+        aluEvalsMetric_->add(end.aluEvals - startAlu);
+        selEvalsMetric_->add(end.selEvals - startSel);
+        runNsMetric_->record(metrics::nowNs() - t0);
     }
 }
 

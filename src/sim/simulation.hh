@@ -1,13 +1,13 @@
 /**
  * @file
- * The Simulation facade and engine registry — the single front door
+ * The Simulation facade and the engine table — the single front door
  * to the paper's interchangeable execution systems.
  *
  * The thesis' central claim is that one RTL description drives
  * multiple execution systems: the ASIM table interpreter and the
  * compiled ASIM II pipeline. This header makes that claim an API:
  *
- *  - EngineRegistry maps engine names to factories. Built-ins:
+ *  - listEngines() is the fixed table of engine names:
  *      "interp"   slot-resolved table interpreter (ASIM analog)
  *      "vm"       compiled bytecode VM (portable ASIM II analog)
  *      "native"   generated C++ + host compiler, loaded in process
@@ -15,10 +15,11 @@
  *      "symbolic" name-lookup interpreter (faithful ASIM baseline)
  *
  *  - Simulation owns the whole parse -> resolve -> engine pipeline
- *    behind one options struct, plus run control: step()/run(n),
- *    runUntil(predicate)/watchpoints, snapshot()/restore(), and
- *    batched construction of independent instances that share one
- *    resolve.
+ *    behind one options struct (its constructor builds the named
+ *    engine straight from SimulationOptions), plus run control:
+ *    step()/run(n), runUntil(predicate)/watchpoints,
+ *    snapshot()/restore(), and batched construction of independent
+ *    instances that share one resolve.
  *
  * Every consumer (CLIs, equivalence tests, benchmarks) constructs
  * engines through this facade; makeInterpreter()/makeVm() are for
@@ -30,11 +31,10 @@
 
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "analysis/fault.hh"
@@ -44,78 +44,21 @@ namespace asim {
 
 struct NativeBuild;
 
-/** Everything an engine factory may need beyond the resolved spec. */
-struct EngineContext
+namespace metrics {
+class Counter;
+class Histogram;
+} // namespace metrics
+
+/** One row of the fixed engine table: a SimulationOptions::engine
+ *  name and its `--list-engines` description. */
+struct EngineInfo
 {
-    EngineConfig config;
-    CompilerOptions compiler;
-
-    /** Pre-compiled bytecode for the "vm" engine; when set, the
-     *  factory shares it instead of compiling. Must come from the
-     *  same resolved spec with trace checks kept whenever
-     *  config.trace may be set (batch construction compiles once and
-     *  shares the immutable program across every instance). */
-    std::shared_ptr<const Program> program;
-
-    /** Pre-compiled engine build for the "native" engine; when set,
-     *  the factory adopts it instead of generating and host-compiling
-     *  — a batch compiles once and every instance creates its own
-     *  machine off it. Same provenance rules as `program`. */
-    std::shared_ptr<const NativeBuild> nativeBuild;
-
-    /** Artifact directory for engines that build binaries; empty
-     *  means a fresh temporary directory owned by the engine. */
-    std::string workDir;
-
-    /// @{ Intra-spec parallelism (sim/partition.hh); honored by the
-    /// "interp" factory, ignored by the other engines.
-    unsigned partitions = 1;
-    size_t partitionMinComponents = 256;
-    /// @}
+    const char *name;
+    const char *description;
 };
 
-/** String-keyed factory table of execution engines. */
-class EngineRegistry
-{
-  public:
-    /** Factories receive the spec as a shared immutable pointer so
-     *  engines reference (never copy) one resolve — the invariant
-     *  batch construction and parallel execution rely on. */
-    using Factory = std::function<std::unique_ptr<Engine>(
-        const std::shared_ptr<const ResolvedSpec> &,
-        const EngineContext &)>;
-
-    /** The process-wide registry, pre-populated with the built-in
-     *  engines named in the file comment. */
-    static EngineRegistry &global();
-
-    /** Register an engine. @throws SimError on a duplicate name */
-    void add(const std::string &name, const std::string &description,
-             Factory factory);
-
-    bool contains(std::string_view name) const;
-
-    /** All registered (name, description) pairs, sorted by name. */
-    std::vector<std::pair<std::string, std::string>> list() const;
-
-    /** Construct an engine by name. @throws SimError naming the
-     *  registered engines when `name` is unknown */
-    std::unique_ptr<Engine>
-    make(std::string_view name,
-         const std::shared_ptr<const ResolvedSpec> &rs,
-         const EngineContext &ctx) const;
-
-  private:
-    struct Entry
-    {
-        Factory factory;
-        std::string description;
-    };
-
-    [[noreturn]] void throwUnknown(std::string_view name) const;
-
-    std::map<std::string, Entry, std::less<>> entries_;
-};
+/** The four engines named in the file comment, sorted by name. */
+std::span<const EngineInfo> listEngines();
 
 /** How the facade wires memory-mapped I/O when no explicit IoDevice
  *  is supplied in SimulationOptions::config. */
@@ -142,7 +85,7 @@ struct SimulationOptions
     std::shared_ptr<const ResolvedSpec> resolved;
     /// @}
 
-    /** Engine name in the registry. */
+    /** Engine name from listEngines(). */
     std::string engine = "vm";
 
     /** Engine options. An explicit config.trace / config.io here
@@ -153,15 +96,19 @@ struct SimulationOptions
      *  shared flags onto its code generator. */
     CompilerOptions compiler;
 
-    /** Pre-compiled shared bytecode for the "vm" engine (see
-     *  EngineContext::program). makeBatch() fills this in
-     *  automatically; set it by hand only with bytecode compiled
-     *  from the same `resolved` spec and compatible options. */
+    /** Pre-compiled shared bytecode for the "vm" engine; when set,
+     *  the engine shares it instead of compiling. makeBatch() fills
+     *  this in automatically; set it by hand only with bytecode
+     *  compiled from the same `resolved` spec, with trace checks kept
+     *  whenever a trace sink may be attached. A splice fault ignores
+     *  it (the spliced spec no longer matches). */
     std::shared_ptr<const Program> program;
 
-    /** Pre-compiled shared simulator for the "native" engine (see
-     *  EngineContext::nativeBuild); filled in by
-     *  shareBatchArtifacts() under the same rules as `program`. */
+    /** Pre-compiled shared engine build for the "native" engine;
+     *  filled in by shareBatchArtifacts() under the same rules as
+     *  `program`. The engine checks that it is an engine build that
+     *  traces when a sink is configured and bakes in the configured
+     *  ALU semantics. */
     std::shared_ptr<const NativeBuild> nativeBuild;
 
     /// @{ I/O wiring (used when config.io is null)
@@ -192,7 +139,9 @@ struct SimulationOptions
      *  format onto this stream. */
     std::ostream *traceStream = nullptr;
 
-    /** Artifact directory for the native engine. */
+    /** Artifact directory for the native engine; empty means the
+     *  process-wide build cache (codegen/native.hh compileSpecCached)
+     *  with cache-owned temporary directories. */
     std::string workDir;
 
     /** Intra-spec parallelism: split one design's cycle across this
@@ -292,7 +241,7 @@ class Simulation
     /// @{ Durable checkpoints (sim/checkpoint.hh): the snapshot
     /// serialized to a versioned, checksummed binary file bound to
     /// this specification's identity hash. A checkpoint saved by any
-    /// registry engine restores under any other.
+    /// engine restores under any other.
     /** Write the current snapshot to `path` (atomic: temp+rename).
      *  @throws SimError on I/O failure */
     void saveCheckpoint(const std::string &path) const;
@@ -325,6 +274,14 @@ class Simulation
     bool hasFault_ = false;  ///< options carried an @cycle fault
     bool faultArmed_ = false; ///< not yet applied on this timeline
     mutable uint64_t specHash_ = 0; ///< lazy; 0 = not yet computed
+
+    /// @{ The engine.*.<engine> metrics run() records, looked up at
+    /// the first timed run() so untimed processes register none.
+    metrics::Counter *cyclesMetric_ = nullptr;
+    metrics::Counter *aluEvalsMetric_ = nullptr;
+    metrics::Counter *selEvalsMetric_ = nullptr;
+    metrics::Histogram *runNsMetric_ = nullptr;
+    /// @}
 };
 
 } // namespace asim

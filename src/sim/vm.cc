@@ -178,10 +178,15 @@ Vm::runCycles(uint64_t n)
             // relaxed load. Dispatch is reported as cycles x static
             // stream length (selector jumps may skip ops, so this is
             // the dispatch upper bound the fusion ratio is read from).
-            metrics::counter("vm.dispatch.stream_ops")
-                .add((n - left) * prog_->cycle.size());
-            metrics::counter("vm.alu_evals").add(aluEvals);
-            metrics::counter("vm.sel_evals").add(selEvals);
+            static metrics::Counter &streamOps =
+                metrics::counter("vm.dispatch.stream_ops");
+            static metrics::Counter &aluMetric =
+                metrics::counter("vm.alu_evals");
+            static metrics::Counter &selMetric =
+                metrics::counter("vm.sel_evals");
+            streamOps.add((n - left) * prog_->cycle.size());
+            aluMetric.add(aluEvals);
+            selMetric.add(selEvals);
         }
     };
     const auto badAddr = [](const MemoryState &ms) {

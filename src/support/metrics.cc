@@ -275,13 +275,4 @@ Registry::jsonExposition() const
     return out;
 }
 
-void
-Registry::resetForTest()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    counters_.clear();
-    gauges_.clear();
-    histograms_.clear();
-}
-
 } // namespace asim::metrics

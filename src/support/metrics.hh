@@ -198,7 +198,8 @@ struct RegistrySnapshot
 /**
  * Process-wide name -> metric table. Lookup-or-create takes a mutex
  * (cold; call sites cache the returned reference), accumulation never
- * does. Returned references stay valid for the process lifetime.
+ * does. Metrics are never removed, so returned references stay valid
+ * for the process lifetime.
  */
 class Registry
 {
@@ -222,10 +223,6 @@ class Registry
      *  bucket arrays — the payload of the serve METRICS opcode and the
      *  `asim_metrics` block of --trace-out files. */
     std::string jsonExposition() const;
-
-    /** Drop every registered metric. Tests only: references returned
-     *  earlier dangle after this. */
-    void resetForTest();
 
     Registry() = default;
     Registry(const Registry &) = delete;

@@ -36,6 +36,19 @@ fail(const std::string &what, const std::string &endpoint)
                    std::strerror(errno));
 }
 
+/** The address a numeric IPv4 `host` names. @throws SimError for
+ *  anything else */
+in_addr
+numericHost(const std::string &host)
+{
+    in_addr addr{};
+    if (::inet_pton(AF_INET, host.c_str(), &addr) != 1) {
+        throw SimError("tcp endpoints want a numeric IPv4 host, got: " +
+                       host);
+    }
+    return addr;
+}
+
 } // namespace
 
 long
@@ -180,10 +193,7 @@ connectTcp(const std::string &host, uint16_t port)
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-        throw SimError("tcp endpoints want a numeric IPv4 host, got: " +
-                       host);
-    }
+    addr.sin_addr = numericHost(host);
     int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
         fail("cannot create tcp socket", host);
@@ -194,25 +204,31 @@ connectTcp(const std::string &host, uint16_t port)
     return sock;
 }
 
+Endpoint
+parseEndpoint(const std::string &endpoint)
+{
+    if (endpoint.rfind("unix:", 0) == 0)
+        return {endpoint.substr(5), "", 0};
+    if (endpoint.rfind("tcp:", 0) != 0)
+        return {endpoint, "", 0};
+    std::string rest = endpoint.substr(4);
+    auto colon = rest.rfind(':');
+    if (colon == std::string::npos) {
+        throw SimError("tcp endpoint wants tcp:<host>:<port>, "
+                       "got: " + endpoint);
+    }
+    auto port = parseInteger(rest.substr(colon + 1), 1, 65535, 10);
+    if (!port)
+        throw SimError("bad tcp port in endpoint: " + endpoint);
+    numericHost(rest.substr(0, colon));
+    return {"", rest.substr(0, colon), static_cast<uint16_t>(*port)};
+}
+
 Socket
 connectEndpoint(const std::string &endpoint)
 {
-    if (endpoint.rfind("unix:", 0) == 0)
-        return connectUnix(endpoint.substr(5));
-    if (endpoint.rfind("tcp:", 0) == 0) {
-        std::string rest = endpoint.substr(4);
-        auto colon = rest.rfind(':');
-        if (colon == std::string::npos) {
-            throw SimError("tcp endpoint wants tcp:<host>:<port>, "
-                           "got: " + endpoint);
-        }
-        auto port = parseInteger(rest.substr(colon + 1), 1, 65535, 10);
-        if (!port)
-            throw SimError("bad tcp port in endpoint: " + endpoint);
-        return connectTcp(rest.substr(0, colon),
-                          static_cast<uint16_t>(*port));
-    }
-    return connectUnix(endpoint);
+    Endpoint e = parseEndpoint(endpoint);
+    return e.port ? connectTcp(e.host, e.port) : connectUnix(e.path);
 }
 
 int

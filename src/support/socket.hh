@@ -99,11 +99,21 @@ Socket connectUnix(const std::string &path);
 /** Connect to a TCP endpoint (numeric host). @throws SimError */
 Socket connectTcp(const std::string &host, uint16_t port);
 
-/**
- * Connect to an endpoint string: `unix:<path>`, `tcp:<host>:<port>`,
- * or a bare filesystem path (treated as unix). @throws SimError on
- * a malformed endpoint or connection failure
- */
+/** An endpoint string taken apart: a Unix-domain socket path, or a
+ *  TCP host and port. */
+struct Endpoint
+{
+    std::string path;  ///< unix socket; empty for tcp
+    std::string host;  ///< tcp numeric IPv4 host; empty for unix
+    uint16_t port = 0; ///< tcp port (1..65535); 0 for unix
+};
+
+/** Parse `unix:<path>`, `tcp:<host>:<port>`, or a bare filesystem
+ *  path (treated as unix). @throws SimError on a malformed endpoint */
+Endpoint parseEndpoint(const std::string &endpoint);
+
+/** Connect to an endpoint string (see parseEndpoint). @throws
+ *  SimError on a malformed endpoint or connection failure */
 Socket connectEndpoint(const std::string &endpoint);
 
 /**

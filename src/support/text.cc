@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 namespace asim {
 
@@ -89,6 +91,19 @@ parseInteger(std::string_view text, int64_t min, int64_t max, int base)
         v > max)
         return std::nullopt;
     return static_cast<int64_t>(v);
+}
+
+std::optional<std::string>
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return std::nullopt;
+    std::ostringstream os;
+    os << in.rdbuf();
+    if (in.bad())
+        return std::nullopt;
+    return os.str();
 }
 
 } // namespace asim

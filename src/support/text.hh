@@ -1,6 +1,7 @@
 /**
  * @file
- * Small text helpers shared by the lexer, parsers, and code generators.
+ * Small text helpers shared by the lexer, parsers, and code generators,
+ * and the one whole-file reader.
  */
 
 #ifndef ASIM_SUPPORT_TEXT_HH
@@ -63,6 +64,10 @@ int countOccurrences(std::string_view hay, std::string_view needle);
  */
 std::optional<int64_t> parseInteger(std::string_view text, int64_t min,
                                     int64_t max, int base);
+
+/** The whole file at `path`, byte for byte; nothing when it cannot be
+ *  opened or read. */
+std::optional<std::string> readFile(const std::string &path);
 
 } // namespace asim
 

@@ -7,24 +7,25 @@
 #include "analysis/fault.hh"
 #include "lang/parser.hh"
 #include "analysis/resolve.hh"
-#include "lang/parser.hh"
+#include "lang/alu_ops.hh"
 #include "machines/counter.hh"
 #include "sim/engine.hh"
 
 namespace asim {
 namespace {
 
-/** The stuck-at policies of the injector registry. */
-const FaultInjector &
-stuck(const char *mode)
+/** Splice a stuck-at fault under the named policy. */
+Spec
+stuck(const char *mode, const Spec &spec, const std::string &comp,
+      int bit)
 {
-    return FaultInjectorRegistry::global().get(mode);
+    return spliceFault(faultPolicy(mode), spec, comp, bit);
 }
 
 TEST(Fault, StructureOfInjectedSpec)
 {
     Spec s = parseSpec(counterSpec(4, 20));
-    Spec f = stuck("set0").splice(s, "next", 0);
+    Spec f = stuck("set0", s, "next", 0);
     EXPECT_NE(f.find("next"), nullptr);
     EXPECT_NE(f.find("nextFAULTED"), nullptr);
     EXPECT_EQ(f.find("next")->kind, CompKind::Alu);
@@ -35,9 +36,9 @@ TEST(Fault, StructureOfInjectedSpec)
 TEST(Fault, UnknownComponentThrows)
 {
     Spec s = parseSpec(counterSpec(4, 20));
-    EXPECT_THROW(stuck("set0").splice(s, "ghost", 0), SpecError);
-    EXPECT_THROW(stuck("set0").splice(s, "next", 31), SpecError);
-    EXPECT_THROW(stuck("set0").splice(s, "next", -1), SpecError);
+    EXPECT_THROW(stuck("set0", s, "ghost", 0), SpecError);
+    EXPECT_THROW(stuck("set0", s, "next", 31), SpecError);
+    EXPECT_THROW(stuck("set0", s, "next", -1), SpecError);
 }
 
 TEST(Fault, StuckAt0ForcesEvenCounter)
@@ -45,7 +46,7 @@ TEST(Fault, StuckAt0ForcesEvenCounter)
     // Counter with bit 0 of `next` stuck at 0: count can only ever be
     // even (in fact it sticks at 0: 0+1=1 -> masked to 0).
     Spec f =
-        stuck("set0").splice(parseSpec(counterSpec(4, 20)), "next", 0);
+        stuck("set0", parseSpec(counterSpec(4, 20)), "next", 0);
     auto engine = makeVm(resolve(f));
     engine->run(16);
     EXPECT_EQ(engine->value("count"), 0);
@@ -55,7 +56,7 @@ TEST(Fault, StuckAt1OnCounterBit)
 {
     // Bit 1 of next stuck at 1: sequence forced through odd patterns.
     Spec f =
-        stuck("set1").splice(parseSpec(counterSpec(4, 20)), "next", 1);
+        stuck("set1", parseSpec(counterSpec(4, 20)), "next", 1);
     auto engine = makeVm(resolve(f));
     for (int i = 0; i < 8; ++i) {
         engine->step();
@@ -68,7 +69,7 @@ TEST(Fault, HealthyCounterDiffersFromFaulty)
 {
     // The fault must be observable: run both machines and compare.
     Spec healthy = parseSpec(counterSpec(4, 20));
-    Spec faulty = stuck("set0").splice(healthy, "next", 2);
+    Spec faulty = stuck("set0", healthy, "next", 2);
 
     auto a = makeVm(resolve(healthy));
     auto b = makeVm(resolve(faulty));
@@ -86,7 +87,7 @@ TEST(Fault, MemoryVictimKeepsTiming)
     // Faulting a memory splices a combinational ALU after the latch;
     // the observed value still changes one cycle after the write.
     Spec s = parseSpec(counterSpec(4, 20));
-    Spec f = stuck("set1").splice(s, "count", 3);
+    Spec f = stuck("set1", s, "count", 3);
     auto engine = makeVm(resolve(f));
     engine->step();
     // count (observed) = latch | 8.
@@ -96,12 +97,12 @@ TEST(Fault, MemoryVictimKeepsTiming)
 TEST(Fault, DoubleInjectionOnSameNameThrows)
 {
     Spec s = parseSpec(counterSpec(4, 20));
-    Spec once = stuck("set0").splice(s, "next", 0);
-    EXPECT_THROW(stuck("set0").splice(once, "next", 1), SpecError);
+    Spec once = stuck("set0", s, "next", 0);
+    EXPECT_THROW(stuck("set0", once, "next", 1), SpecError);
 }
 
 // ---------------------------------------------------------------------
-// The injector registry (mirrors the engine registry idiom)
+// The fixed table of fault policies
 // ---------------------------------------------------------------------
 
 /** Run `fn` and return the SpecError text it throws (must throw). */
@@ -120,23 +121,24 @@ specErrorText(Fn &&fn)
 
 TEST(FaultRegistry, BuiltinPolicies)
 {
-    auto &reg = FaultInjectorRegistry::global();
-    EXPECT_EQ(reg.list(),
+    std::vector<std::string> names;
+    for (const FaultPolicy &p : kFaultPolicies)
+        names.push_back(p.name);
+    EXPECT_EQ(names,
               (std::vector<std::string>{"set0", "set1", "toggle"}));
-    EXPECT_TRUE(reg.contains("toggle"));
-    EXPECT_FALSE(reg.contains("bogus"));
+    EXPECT_EQ(faultPolicy("toggle").spliceAluOp, kAluXor);
 
-    // apply(): one bit perturbed under each policy.
-    EXPECT_EQ(reg.get("set0").apply(0b1111, 1), 0b1101);
-    EXPECT_EQ(reg.get("set1").apply(0b0000, 2), 0b0100);
-    EXPECT_EQ(reg.get("toggle").apply(0b0110, 1), 0b0100);
-    EXPECT_EQ(reg.get("toggle").apply(0b0110, 3), 0b1110);
+    // applyFault(): one bit perturbed under each policy.
+    EXPECT_EQ(applyFault(faultPolicy("set0"), 0b1111, 1), 0b1101);
+    EXPECT_EQ(applyFault(faultPolicy("set1"), 0b0000, 2), 0b0100);
+    EXPECT_EQ(applyFault(faultPolicy("toggle"), 0b0110, 1), 0b0100);
+    EXPECT_EQ(applyFault(faultPolicy("toggle"), 0b0110, 3), 0b1110);
 }
 
 TEST(FaultRegistry, UnknownInjectorNamesTheRegistered)
 {
     EXPECT_EQ(specErrorText([] {
-                  FaultInjectorRegistry::global().get("bogus");
+                  faultPolicy("bogus");
               }),
               "Error. Unknown fault injector <bogus>; registered "
               "injectors: set0, set1, toggle.");
@@ -145,8 +147,7 @@ TEST(FaultRegistry, UnknownInjectorNamesTheRegistered)
 TEST(FaultRegistry, ToggleSpliceFlipsOneOutputBit)
 {
     // toggle on bit 2 of `next`: the counter sees (count+1) ^ 4.
-    Spec f = FaultInjectorRegistry::global().get("toggle").splice(
-        parseSpec(counterSpec(6, 100)), "next", 2);
+    Spec f = stuck("toggle", parseSpec(counterSpec(6, 100)), "next", 2);
     auto engine = makeVm(resolve(f));
     int32_t healthy = 0;
     for (int i = 0; i < 12; ++i) {

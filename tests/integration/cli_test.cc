@@ -197,6 +197,39 @@ TEST(Cli, AsimRunListsEngines)
         EXPECT_NE(r.out.find(name), std::string::npos) << r.out;
 }
 
+/** The engine and fault-policy tables as a user sees them: both
+ *  listings and both unknown-name errors, byte for byte. */
+TEST(Cli, AsimRunListingsAndUnknownNamesAreExact)
+{
+    CmdResult r = run(std::string(ASIM_RUN_BIN) + " --list-engines");
+    EXPECT_EQ(r.status, 0);
+    EXPECT_EQ(r.out,
+              "interp\tslot-resolved table interpreter (ASIM analog); "
+              "--partitions=N runs one design bulk-synchronously across "
+              "N lanes\n"
+              "native\tgenerated C++ through the host compiler, loaded "
+              "in process as a shared object (ASIM II pipeline)\n"
+              "symbolic\tname-lookup symbolic interpreter (faithful "
+              "ASIM baseline)\n"
+              "vm\tcompiled bytecode VM (portable ASIM II analog)\n");
+
+    r = run(std::string(ASIM_RUN_BIN) + " --list-injectors");
+    EXPECT_EQ(r.status, 0);
+    EXPECT_EQ(r.out, "set0\nset1\ntoggle\n");
+
+    r = run(std::string(ASIM_RUN_BIN) + " --engine=jit " + counterSpec());
+    EXPECT_EQ(WEXITSTATUS(r.status), 2);
+    EXPECT_EQ(r.out, "runtime error: unknown engine <jit>; registered "
+                     "engines: interp, native, symbolic, vm\n");
+
+    r = run(std::string(ASIM_RUN_BIN) + " --inject=count:0:bogus " +
+            counterSpec());
+    EXPECT_EQ(WEXITSTATUS(r.status), 1);
+    EXPECT_EQ(r.out, "Error. Unknown fault injector <bogus>; registered "
+                     "injectors: set0, set1, toggle.\n"
+                     "Error in program (no code generated).\n");
+}
+
 TEST(Cli, AsimRunDumpBytecode)
 {
     // Golden smoke over the compile-only path: the dump names the
@@ -321,12 +354,21 @@ TEST(Cli, AsimRunRejectsMalformedIntegers)
 
 TEST(Cli, AsimRunRejectsMalformedTcpPort)
 {
-    // Not a connection to port 80: the endpoint itself is refused.
+    // Not a connection to port 80: the endpoint itself is refused,
+    // as a usage error.
     CmdResult r = run(std::string(ASIM_RUN_BIN) +
                       " --connect=tcp:127.0.0.1:80x --server-stats");
-    EXPECT_NE(r.status, 0) << r.out;
+    EXPECT_EQ(WEXITSTATUS(r.status), 1) << r.out;
     EXPECT_NE(r.out.find("bad tcp port in endpoint: "
                          "tcp:127.0.0.1:80x"),
+              std::string::npos)
+        << r.out;
+
+    // A host name is refused the same way (hosts are numeric IPv4).
+    r = run(std::string(ASIM_RUN_BIN) +
+            " --connect=tcp:localhost:80 --server-stats");
+    EXPECT_EQ(WEXITSTATUS(r.status), 1) << r.out;
+    EXPECT_NE(r.out.find("numeric IPv4 host, got: localhost"),
               std::string::npos)
         << r.out;
 }

@@ -463,6 +463,33 @@ TEST_F(ManifestTest, RestoreKeyResumesFromCheckpoint)
     EXPECT_EQ(result.instances[0].cyclesRun, 20u);
 }
 
+TEST_F(ManifestTest, MissingSpecFileNamesTheLine)
+{
+    // A single job would meet the missing file only at run().
+    std::string path = writeManifest("# one job\nnosuch.asim\n");
+    try {
+        BatchRunner().loadManifest(path, SimulationOptions{});
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "batch manifest " + path +
+                      ":2: cannot read spec file /tmp/nosuch.asim");
+    }
+}
+
+TEST_F(ManifestTest, MissingSpecFileInACountedLineNamesTheLine)
+{
+    std::string path = writeManifest("nosuch.asim count=2\n");
+    try {
+        BatchRunner().loadManifest(path, SimulationOptions{});
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "batch manifest " + path +
+                      ":1: cannot read spec file /tmp/nosuch.asim");
+    }
+}
+
 TEST_F(ManifestTest, MalformedLinesThrowWithLineNumbers)
 {
     // Integers are whole and bounded: no prefix reads ("5x" as 5), no

@@ -1,6 +1,6 @@
 /** @file
  * Cross-engine checkpoint portability: a checkpoint saved mid-run by
- * any registry engine restores under every other engine, and the
+ * any engine restores under every other engine, and the
  * continuation's output (trace + scripted I/O on one stream) is
  * byte-identical to an uninterrupted run — the acceptance property
  * of the checkpoint subsystem, extending the equivalence harness

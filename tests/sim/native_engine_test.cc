@@ -2,9 +2,9 @@
  * NativeEngine in-process tests: runtime faults surface as SimError
  * with the vm's message and reset() recovers, scripted input rewinds
  * on reset and is positioned by restore, restore executes no cycles,
- * stepping costs one call per step rather than a replay, and
- * instances sharing one loaded build keep fully separate state even
- * when they run concurrently.
+ * stepping costs one call per step rather than a replay, instances
+ * sharing one loaded build keep fully separate state even when they
+ * run concurrently, and every real compile is timed.
  *
  * Skipped without a host compiler.
  */
@@ -22,6 +22,7 @@
 #include "machines/counter.hh"
 #include "sim/native_engine.hh"
 #include "sim/simulation.hh"
+#include "support/metrics.hh"
 
 #ifndef ASIM_SPECS_DIR
 #define ASIM_SPECS_DIR "specs"
@@ -54,6 +55,20 @@ const char *kEchoSpec = "# integer echo\n"
                         "M out 1 in 3 1\n"
                         ".\n";
 
+/** An engine over a fresh build of its own, compiled to match
+ *  `cfg` (trace output only with a sink, the same ALU semantics). */
+std::unique_ptr<NativeEngine>
+nativeEngine(const ResolvedSpec &spec, const EngineConfig &cfg = {})
+{
+    auto rs = std::make_shared<const ResolvedSpec>(spec);
+    CodegenOptions cg;
+    cg.aluSemantics = cfg.aluSemantics;
+    cg.emitTrace = cfg.trace != nullptr;
+    cg.emitServeLoop = true;
+    return std::make_unique<NativeEngine>(rs, cfg,
+                                          compileSpecShared(*rs, cg));
+}
+
 class NativeEngineTest : public ::testing::Test
 {
   protected:
@@ -67,8 +82,7 @@ class NativeEngineTest : public ::testing::Test
     static std::unique_ptr<NativeEngine>
     counterEngine()
     {
-        return std::make_unique<NativeEngine>(
-            resolveText(counterSpec(4, 100)), EngineConfig{});
+        return nativeEngine(resolveText(counterSpec(4, 100)));
     }
 };
 
@@ -110,7 +124,8 @@ TEST_F(NativeEngineTest, RuntimeFaultThrowsAndResetRecovers)
         const auto want = faultOf(*vm, 50);
         ASSERT_FALSE(want.first.empty()) << spec;
 
-        NativeEngine e(rs, EngineConfig{});
+        auto ep = nativeEngine(rs, EngineConfig{});
+        NativeEngine &e = *ep;
         e.run(1);
         EXPECT_EQ(faultOf(e, 49), want) << spec;
         EXPECT_EQ(e.stats().cycles, want.second);
@@ -127,7 +142,8 @@ TEST_F(NativeEngineTest, ScriptedInputRewindsOnReset)
     ScriptIo io({10, 20, 30, 40, 50}, os);
     EngineConfig cfg;
     cfg.io = &io;
-    NativeEngine e(resolveText(kEchoSpec), cfg);
+    auto ep = nativeEngine(resolveText(kEchoSpec), cfg);
+    NativeEngine &e = *ep;
     e.run(5);
     EXPECT_EQ(os.str(), "10\n20\n30\n40\n50\n");
     os.str("");
@@ -178,7 +194,8 @@ TEST_F(NativeEngineTest, RestorePositionsTheInputCursor)
     ScriptIo ioA({1, 2, 3, 4, 5}, osA);
     EngineConfig cfgA;
     cfgA.io = &ioA;
-    NativeEngine a(rs, cfgA);
+    auto ap = nativeEngine(rs, cfgA);
+    NativeEngine &a = *ap;
     a.run(3);
     EngineSnapshot snap = a.snapshot();
     EXPECT_EQ(snap.ioValues, 3u);
@@ -188,7 +205,8 @@ TEST_F(NativeEngineTest, RestorePositionsTheInputCursor)
     ScriptIo ioB({9, 8, 7, 6, 5}, osB);
     EngineConfig cfgB;
     cfgB.io = &ioB;
-    NativeEngine b(rs, cfgB);
+    auto bp = nativeEngine(rs, cfgB);
+    NativeEngine &b = *bp;
     b.restore(snap);
     EXPECT_EQ(b.cycle(), 3u);
     EXPECT_TRUE(b.state() == snap.state);
@@ -216,7 +234,8 @@ TEST_F(NativeEngineTest, CallbackExceptionsReachTheCaller)
         io.pushInput(v);
     EngineConfig cfg;
     cfg.io = &io;
-    NativeEngine e(resolveText(kEchoSpec), cfg);
+    auto ep = nativeEngine(resolveText(kEchoSpec), cfg);
+    NativeEngine &e = *ep;
     EXPECT_THROW(e.run(4), std::runtime_error);
     EXPECT_EQ(e.cycle(), 2u);
     EXPECT_EQ(e.stats().cycles, 2u);
@@ -264,6 +283,31 @@ TEST_F(NativeEngineTest, SteppingIsIncrementalNotQuadratic)
         << runOnce << "s";
 }
 
+/** The default route to a build (the build cache, no workDir) times
+ *  each real compile in native.compile_ns; a cache hit records
+ *  nothing. */
+TEST_F(NativeEngineTest, DefaultBuildRecordsCompileTime)
+{
+    auto compiles = [] {
+        auto snap = metrics::Registry::global().snapshot();
+        auto it = snap.histograms.find("native.compile_ns");
+        return it == snap.histograms.end() ? uint64_t{0}
+                                           : it->second.count;
+    };
+    metrics::setTimingEnabled(true);
+    const uint64_t before = compiles();
+    SimulationOptions opts;
+    opts.specText = counterSpec(13, 77);
+    opts.engine = "native";
+    Simulation first(opts);
+    EXPECT_EQ(compiles(), before + 1);
+    Simulation cached(opts);
+    EXPECT_EQ(&dynamic_cast<NativeEngine &>(cached.engine()).build(),
+              &dynamic_cast<NativeEngine &>(first.engine()).build());
+    EXPECT_EQ(compiles(), before + 1);
+    metrics::setTimingEnabled(false);
+}
+
 /** Two instances of one shared build, run interleaved on two threads,
  *  end exactly where serial runs do: the generated code keeps no
  *  mutable state outside each instance's machine. */
@@ -276,19 +320,18 @@ TEST_F(NativeEngineTest, ConcurrentInstancesOfOneBuildMatchSerialRuns)
     CodegenOptions cg;
     cg.emitTrace = false;
     cg.emitServeLoop = true;
-    NativeEngine::Options opts;
-    opts.prebuilt = compileSpecShared(*rs, cg);
+    auto build = compileSpecShared(*rs, cg);
 
     const uint64_t cycles[2] = {3000, 4500};
     MachineState serial[2];
     for (int i = 0; i < 2; ++i) {
-        NativeEngine e(rs, EngineConfig{}, opts);
+        NativeEngine e(rs, EngineConfig{}, build);
         e.run(cycles[i]);
         serial[i] = e.state();
     }
 
-    NativeEngine a(rs, EngineConfig{}, opts);
-    NativeEngine b(rs, EngineConfig{}, opts);
+    NativeEngine a(rs, EngineConfig{}, build);
+    NativeEngine b(rs, EngineConfig{}, build);
     ASSERT_EQ(&a.build(), &b.build());
     auto drive = [](NativeEngine *e, uint64_t total) {
         for (uint64_t done = 0; done < total; done += 3)

@@ -1,5 +1,5 @@
 /** @file
- * Tests of the Simulation facade and the engine registry: pipeline
+ * Tests of the Simulation facade and the engine table: pipeline
  * assembly from text/file/pre-resolved sources, engine selection by
  * name, scripted I/O, run control (runUntil, watchpoints), batched
  * construction, and snapshot/restore determinism — restoring mid-run
@@ -36,16 +36,11 @@ const char *kEchoSpec = "# integer echo\n"
 
 TEST(EngineRegistryTest, ListsAllThreePaperSystems)
 {
-    EngineRegistry &reg = EngineRegistry::global();
-    EXPECT_TRUE(reg.contains("interp"));
-    EXPECT_TRUE(reg.contains("vm"));
-    EXPECT_TRUE(reg.contains("native"));
-    EXPECT_TRUE(reg.contains("symbolic"));
-    EXPECT_FALSE(reg.contains("jit"));
-
-    auto names = reg.list();
-    EXPECT_GE(names.size(), 4u);
-    EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+    std::vector<std::string> names;
+    for (const EngineInfo &e : listEngines())
+        names.push_back(e.name);
+    EXPECT_EQ(names, (std::vector<std::string>{"interp", "native",
+                                               "symbolic", "vm"}));
 }
 
 TEST(EngineRegistryTest, UnknownEngineNamesAlternatives)
@@ -62,18 +57,6 @@ TEST(EngineRegistryTest, UnknownEngineNamesAlternatives)
         EXPECT_NE(msg.find("vm"), std::string::npos) << msg;
         EXPECT_NE(msg.find("interp"), std::string::npos) << msg;
     }
-}
-
-TEST(EngineRegistryTest, DuplicateRegistrationThrows)
-{
-    EXPECT_THROW(
-        EngineRegistry::global().add(
-            "vm", "impostor",
-            [](const std::shared_ptr<const ResolvedSpec> &,
-               const EngineContext &) -> std::unique_ptr<Engine> {
-                return nullptr;
-            }),
-        SimError);
 }
 
 TEST(SimulationTest, RunsFromSpecText)
@@ -323,7 +306,7 @@ TEST(SnapshotTest, RestoreRejectsShapeMismatch)
 }
 
 // ---------------------------------------------------------------------
-// Native engine through the registry (skipped without a host
+// Native engine through the facade (skipped without a host
 // compiler; the full per-spec equivalence leg lives in
 // native_equivalence_test.cc).
 // ---------------------------------------------------------------------
