@@ -50,7 +50,6 @@ runBatch(benchmark::State &state, const char *engine)
     BatchJob job;
     job.options.resolved = machine(static_cast<int>(state.range(1)));
     job.options.engine = engine;
-    job.options.config.collectStats = false;
     job.cycles = kCyclesPerInstance;
 
     BatchOptions bopts;

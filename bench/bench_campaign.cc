@@ -30,7 +30,6 @@ campaign(unsigned threads, uint64_t goldenCycle)
 {
     CampaignOptions o;
     o.base.specText = counterSpec(8, kHorizon);
-    o.base.config.collectStats = false;
     o.runs = kRuns;
     o.seed = 42;
     o.goldenCycle = goldenCycle;

@@ -58,7 +58,6 @@ runEngine(benchmark::State &state, const char *engine)
     SimulationOptions opts;
     opts.resolved = machine(static_cast<int>(state.range(0)));
     opts.engine = engine;
-    opts.config.collectStats = false;
     Simulation sim(opts);
 
     const uint64_t chunk = 1024;
@@ -114,7 +113,6 @@ BM_NativeStep(benchmark::State &state)
     SimulationOptions opts;
     opts.resolved = machine(0);
     opts.engine = "native";
-    opts.config.collectStats = false;
     Simulation sim(opts);
     for (auto _ : state) {
         sim.step();
@@ -146,7 +144,6 @@ BM_Snapshot(benchmark::State &state, const char *engine)
     SimulationOptions opts;
     opts.resolved = machine(1); // tiny_computer: non-trivial state
     opts.engine = engine;
-    opts.config.collectStats = false;
     Simulation sim(opts);
     for (auto _ : state) {
         sim.step();
@@ -170,7 +167,6 @@ BM_Restore(benchmark::State &state, const char *engine)
     SimulationOptions opts;
     opts.resolved = machine(1);
     opts.engine = engine;
-    opts.config.collectStats = false;
     Simulation sim(opts);
     sim.run(1000);
     EngineSnapshot snap = sim.snapshot();

@@ -42,7 +42,6 @@ runCounter(benchmark::State &state, const char *engine)
     SimulationOptions opts;
     opts.resolved = counterMachine();
     opts.engine = engine;
-    opts.config.collectStats = false;
     Simulation sim(opts);
 
     const uint64_t chunk = 1024;

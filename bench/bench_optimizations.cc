@@ -32,7 +32,6 @@ runWith(benchmark::State &state, const CompilerOptions &opts)
     NullIo io;
     EngineConfig cfg;
     cfg.io = &io;
-    cfg.collectStats = false;
     Vm vm(sieve(), cfg, opts);
     for (auto _ : state) {
         vm.run(1024);
@@ -106,7 +105,6 @@ BM_FixedShlSemantics(benchmark::State &state)
     NullIo io;
     EngineConfig cfg;
     cfg.io = &io;
-    cfg.collectStats = false;
     cfg.aluSemantics = AluSemantics::Fixed;
     Vm vm(sieve(), cfg, {});
     for (auto _ : state) {

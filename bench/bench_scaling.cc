@@ -48,7 +48,6 @@ runScaled(benchmark::State &state, const char *engine)
     SimulationOptions opts;
     opts.resolved = synth(static_cast<int>(state.range(0)));
     opts.engine = engine;
-    opts.config.collectStats = false;
     Simulation sim(opts);
     for (auto _ : state)
         sim.run(256);
@@ -105,7 +104,6 @@ BM_PartitionedScaling(benchmark::State &state)
     opts.engine = "interp";
     opts.partitions = lanes;
     opts.partitionMinComponents = 1; // bench the machinery, always
-    opts.config.collectStats = false;
     Simulation sim(opts);
     for (auto _ : state)
         sim.run(cycles);

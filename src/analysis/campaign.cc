@@ -1,60 +1,22 @@
 #include "analysis/campaign.hh"
 
 #include <chrono>
-#include <cstdlib>
 #include <cstdio>
-#include <filesystem>
 #include <iomanip>
 #include <map>
 #include <sstream>
 
 #include "analysis/resolve.hh"
-#include "sim/checkpoint.hh"
 #include "support/bitops.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/rand.hh"
+#include "support/text.hh"
 #include "support/tracing.hh"
 
 namespace asim {
 
 namespace {
-
-/** Minimal JSON string escaping (quotes, backslashes, control). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** Fixed-precision rendering so the JSON report is reproducible. */
 std::string
@@ -231,20 +193,8 @@ CampaignRunner::run()
                        "has no memories (use a splice campaign)");
     }
 
-    // ----- Golden run: checkpoint at the golden cycle, reference
+    // ----- Golden run: snapshot at the golden cycle, reference
     // channels at the horizon (or the completion watchpoint).
-    std::string dir = o.workDir;
-    bool ownDir = false;
-    if (!o.splice && dir.empty()) {
-        char tmpl[] = "/tmp/asim-campaign-XXXXXX";
-        if (!mkdtemp(tmpl))
-            throw SimError("mkdtemp failed");
-        dir = tmpl;
-        ownDir = true;
-    }
-    if (!dir.empty())
-        std::filesystem::create_directories(dir);
-
     tracing::Span goldenSpan("campaign.golden", "campaign");
     std::ostringstream goldenIo;
     SimulationOptions goldenOpts = base;
@@ -253,13 +203,11 @@ CampaignRunner::run()
     golden.run(goldenCycle);
     const std::string goldenIoPrefix = goldenIo.str();
 
-    std::string goldenPath;
+    // Instances share the golden snapshot, held in memory.
     std::shared_ptr<const EngineSnapshot> goldenSnap;
-    if (!o.splice) {
-        goldenPath =
-            (std::filesystem::path(dir) / "golden.ckpt").string();
-        golden.saveCheckpoint(goldenPath);
-    }
+    if (!o.splice)
+        goldenSnap =
+            std::make_shared<const EngineSnapshot>(golden.snapshot());
 
     if (!o.watchName.empty()) {
         if (goldenCycle > 0 &&
@@ -289,12 +237,6 @@ CampaignRunner::run()
     const std::string goldenIoTail =
         goldenIoFull.substr(goldenIoPrefix.size());
 
-    if (!o.splice) {
-        // Decode once through the real load path (validating the
-        // file we just wrote); instances share the snapshot.
-        goldenSnap = std::make_shared<const EngineSnapshot>(
-            loadCheckpoint(goldenPath, *rs));
-    }
     goldenSpan.finish();
 
     // ----- Fan-out: sample one fault per run off the (seed, index)
@@ -419,10 +361,6 @@ CampaignRunner::run()
                          std::chrono::steady_clock::now() - t0)
                          .count();
 
-    if (ownDir) {
-        std::error_code ec;
-        std::filesystem::remove_all(dir, ec); // best effort
-    }
     return result;
 }
 

@@ -5,21 +5,20 @@
  * A campaign answers "how vulnerable is each component of this
  * machine to a bit upset?" by brute force:
  *
- *  1. **Golden run** — simulate the healthy machine once, leaving a
- *     durable checkpoint (sim/checkpoint.hh) at the golden cycle and
- *     recording the reference final state / output / stop cycle at
- *     the horizon.
+ *  1. **Golden run** — simulate the healthy machine once, keeping an
+ *     in-memory snapshot at the golden cycle and recording the
+ *     reference final state / output / stop cycle at the horizon.
  *  2. **Fan-out** — sample `runs` faults with a seed-driven
  *     SplitMix64 stream (support/rand.hh; no global RNG) and run one
  *     perturbed instance per fault on BatchRunner. The default
- *     (transient) campaign restores the shared golden checkpoint and
+ *     (transient) campaign restores the shared golden snapshot and
  *     flips one sampled bit of one sampled state word (memory cell
  *     or output latch) at one sampled cycle in [goldenCycle,
  *     horizon) — amortizing the healthy prefix across every
  *     instance. A splice campaign instead re-runs from cycle zero
  *     with a sampled permanent stuck-at splice (the spliced spec
- *     cannot restore the healthy checkpoint: its identity hash
- *     differs by design).
+ *     cannot restore the healthy snapshot: its shape differs by
+ *     design).
  *  3. **Classify** — diff every instance against the golden
  *     reference (see FaultOutcome for the contract, DESIGN.md §10
  *     for the rationale) and aggregate per-component counts.
@@ -34,7 +33,7 @@
  * This header lives in analysis/ beside the fault policies it
  * samples; it is compiled into the sim library (CMakeLists) because
  * the runner drives sim-layer machinery (Simulation, BatchRunner,
- * checkpoints).
+ * snapshots).
  */
 
 #ifndef ASIM_ANALYSIS_CAMPAIGN_HH
@@ -120,10 +119,6 @@ struct CampaignOptions
 
     /** Worker threads (BatchOptions); 0 = hardware concurrency. */
     unsigned threads = 0;
-
-    /** Directory for the golden checkpoint; empty = a temporary
-     *  directory cleaned up after the run. */
-    std::string workDir;
 };
 
 /** Outcome counters for one component (or the whole campaign). */

@@ -34,7 +34,6 @@
 #include "sim/compiler.hh"
 #include "sim/partition.hh"
 #include "sim/simulation.hh"
-#include "sim/vm.hh"
 #include "support/serialize.hh"
 #include "support/text.hh"
 #include "support/thread_pool.hh"
@@ -84,8 +83,11 @@ cli::OptionTable
 optionTable(Cli &c)
 {
     cli::OptionTable t("asim-run", "<spec-file>");
-    t.text("--engine", "NAME", "execution engine (default vm)",
-           &c.opts.engine);
+    t.add("--engine", "NAME", "execution engine (default vm)",
+          [&](auto &v) {
+              requireEngine(v);
+              c.opts.engine = v;
+          });
     t.integer("--partitions", "N", 1, kPartitionMaxLanes,
               "worker lanes for one design (interp only)", &c.opts.partitions);
     t.add("--synthetic", "PRESET", "generated spec: 1k, 10k, 100k, 1m or N",
@@ -569,8 +571,7 @@ main(int argc, char **argv)
           case Mode::Remote:
             return runRemote(c);
           case Mode::DumpBytecode:
-            std::cout << "dispatch: " << vmDispatchMode() << "\n"
-                      << compileProgram(Simulation::loadSpec(c.opts),
+            std::cout << compileProgram(Simulation::loadSpec(c.opts),
                                         c.opts.compiler, !c.noTrace)
                              .disassemble();
             return 0;

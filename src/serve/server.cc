@@ -520,7 +520,7 @@ ServeServer::ensureLive(Session &s)
     resumes.add();
     tracing::instantEvent("serve.session_resume", "serve",
                           "\"session\":\"" +
-                              tracing::jsonEscape(s.name) + "\"");
+                              jsonEscape(s.name) + "\"");
     noteSessionCensus();
 }
 
@@ -563,7 +563,7 @@ ServeServer::parkSession(Session &s)
     evictions.add();
     tracing::instantEvent("serve.session_evict", "serve",
                           "\"session\":\"" +
-                              tracing::jsonEscape(s.name) + "\"");
+                              jsonEscape(s.name) + "\"");
     noteSessionCensus();
 }
 
@@ -689,9 +689,9 @@ ServeServer::handleOpen(ByteReader &r)
             opened.add();
             tracing::instantEvent(
                 "serve.session_open", "serve",
-                "\"session\":\"" + tracing::jsonEscape(s->name) +
+                "\"session\":\"" + jsonEscape(s->name) +
                     "\",\"engine\":\"" +
-                    tracing::jsonEscape(s->engine) + "\"");
+                    jsonEscape(s->engine) + "\"");
         } catch (...) {
             // A session that never built must not squat on the name.
             std::lock_guard<std::mutex> mapLock(sessionsMu_);
@@ -840,7 +840,7 @@ ServeServer::handleClose(ByteReader &r)
     ::unlink(metaPath(s->name).c_str());
     tracing::instantEvent("serve.session_close", "serve",
                           "\"session\":\"" +
-                              tracing::jsonEscape(s->name) + "\"");
+                              jsonEscape(s->name) + "\"");
     noteSessionCensus();
     ByteWriter w;
     w.u8(static_cast<uint8_t>(Status::Ok));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -29,42 +28,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
-}
-
-/** Minimal JSON string escaping (quotes, backslashes, control). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 std::string
@@ -529,7 +492,7 @@ BatchRunner::run()
         r.seconds = secondsSince(t0);
         span.setArgs(
             "\"index\":" + std::to_string(i) + ",\"label\":\"" +
-            tracing::jsonEscape(job.label) + "\",\"engine\":\"" +
+            jsonEscape(job.label) + "\",\"engine\":\"" +
             r.engine +
             "\",\"cycles\":" + std::to_string(r.cyclesRun) +
             ",\"resumed\":" + (r.resumed ? "true" : "false") +
@@ -595,6 +558,7 @@ BatchRunner::loadManifest(const std::string &path,
         job.options.specFile = resolvePath(spec);
         job.cycles = defaultCycles;
         size_t count = 1;
+        FaultSite fault; // mode checked below, with the engine
 
         std::string kv;
         while (ls >> kv) {
@@ -634,9 +598,10 @@ BatchRunner::loadManifest(const std::string &path,
             } else if (key == "fault") {
                 // Deliberately unwrapped: a malformed fault throws
                 // parseFaultSite's own SpecError, the same text the
-                // CLI --inject= path produces (spec-dependent checks
-                // — component/cell/mode — follow at construction).
-                parseFaultSite(value);
+                // CLI --inject= path produces (the mode is checked
+                // after the key loop; component and cell checks need
+                // the spec and follow at construction).
+                fault = parseFaultSite(value);
                 job.options.fault = value;
             } else if (key == "restore") {
                 job.restoreFrom = resolvePath(value);
@@ -656,8 +621,14 @@ BatchRunner::loadManifest(const std::string &path,
             }
         }
 
-        // A single job would only meet an unreadable spec at run();
-        // name the line here, whatever the count.
+        // A single job would only meet these at construction or
+        // run(); name the line here, whatever the count.
+        try {
+            requireEngine(job.options.engine);
+            faultPolicy(fault.mode);
+        } catch (const std::runtime_error &e) {
+            throw bad(e.what());
+        }
         if (!std::ifstream(job.options.specFile)) {
             throw bad("cannot read spec file " +
                       job.options.specFile);

@@ -325,11 +325,6 @@ struct Program
     };
     OptSummary opt;
 
-    /** ALUs inlineConstAlu folded to a constant store: the VM adds
-     *  them to SimStats::aluEvals per cycle at run exit, so its
-     *  counters match the interpreter's without dispatch work. */
-    uint32_t foldedAlus = 0;
-
     size_t
     totalInstructions() const
     {

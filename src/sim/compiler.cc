@@ -199,7 +199,6 @@ class Compiler
             if (lc && rc && c.functValue != kAluShl) {
                 int32_t v = dologic(c.functValue, lv, rv);
                 code.push_back({Op::StoreC, 0, slot, v, 0, 0});
-                ++prog_.foldedAlus;
                 return;
             }
 

@@ -12,6 +12,8 @@ Engine::Engine(std::shared_ptr<const ResolvedSpec> rs,
         ms.name = m.name;
         stats_.mems.push_back(std::move(ms));
     }
+    for (const auto &c : rs_->comb)
+        ++(c.kind == CompKind::Alu ? aluCount_ : selCount_);
     state_.reset(*rs_);
 }
 

@@ -41,9 +41,6 @@ struct EngineConfig
 
     /** I/O device; nullptr behaves like NullIo. */
     IoDevice *io = nullptr;
-
-    /** Collect access statistics (small overhead when enabled). */
-    bool collectStats = true;
 };
 
 /** "This cursor field was not captured": the value every engine
@@ -162,6 +159,18 @@ class Engine
     /** Emit the per-cycle trace line for the starred components. */
     void traceCycle();
 
+    /** Account `n` completed cycles in stats_. Every combinational
+     *  component is evaluated exactly once per cycle, so the ALU and
+     *  selector counts follow from the cycle count; a cycle cut short
+     *  by a fault is not counted. Advancing cycle_ stays with the
+     *  caller. */
+    void countCycles(uint64_t n)
+    {
+        stats_.cycles += n;
+        stats_.aluEvals += n * aluCount_;
+        stats_.selEvals += n * selCount_;
+    }
+
     /** Immutable, potentially cross-thread-shared; never written. */
     std::shared_ptr<const ResolvedSpec> rs_;
     EngineConfig cfg_;
@@ -170,6 +179,11 @@ class Engine
     NullIo nullIo_;
     IoDevice *io_;
     uint64_t cycle_ = 0;
+
+  private:
+    /** ALUs and selectors in rs_->comb (see countCycles()). */
+    uint64_t aluCount_ = 0;
+    uint64_t selCount_ = 0;
 };
 
 /** Build the table-walking interpreter (ASIM analog). */

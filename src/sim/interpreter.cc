@@ -48,15 +48,8 @@ Interpreter::evalCombOne(const CombComp &c)
 void
 Interpreter::evalCombinational()
 {
-    for (const auto &c : rs_->comb) {
+    for (const auto &c : rs_->comb)
         evalCombOne(c);
-        if (cfg_.collectStats) {
-            if (c.kind == CompKind::Alu)
-                ++stats_.aluEvals;
-            else
-                ++stats_.selEvals;
-        }
-    }
 }
 
 void
@@ -96,26 +89,22 @@ Interpreter::updateMemOne(const MemDesc &m)
       case mem_op::kRead:
         checkAddr();
         ms.temp = ms.cells[adr];
-        if (cfg_.collectStats)
-            ++stats_.mems[m.index].reads;
+        ++stats_.mems[m.index].reads;
         break;
       case mem_op::kWrite:
         checkAddr();
         ms.temp = eval(m.data);
         ms.cells[adr] = ms.temp;
-        if (cfg_.collectStats)
-            ++stats_.mems[m.index].writes;
+        ++stats_.mems[m.index].writes;
         break;
       case mem_op::kInput:
         ms.temp = io_->input(adr);
-        if (cfg_.collectStats)
-            ++stats_.mems[m.index].inputs;
+        ++stats_.mems[m.index].inputs;
         break;
       case mem_op::kOutput:
         ms.temp = eval(m.data);
         io_->output(adr, ms.temp);
-        if (cfg_.collectStats)
-            ++stats_.mems[m.index].outputs;
+        ++stats_.mems[m.index].outputs;
         break;
     }
 
@@ -142,8 +131,7 @@ Interpreter::step()
     latchMemories();
     updateMemories();
     ++cycle_;
-    if (cfg_.collectStats)
-        ++stats_.cycles;
+    countCycles(1);
 }
 
 std::unique_ptr<Engine>

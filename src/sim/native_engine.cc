@@ -99,8 +99,7 @@ NativeEngine::run(uint64_t cycles)
     const uint64_t start = cycle_;
     auto settle = [&] {
         machineAhead_ = true;
-        if (cfg_.collectStats)
-            stats_.cycles += cycle_ - start;
+        countCycles(cycle_ - start);
     };
     const char *fault = nullptr;
     try {

@@ -25,9 +25,10 @@
  *  - snapshot() and restore() are the Engine ones plus that copy;
  *  - faults: a runtime fault raises SimError with the vm's message,
  *    the cycle counter at the faulting cycle; reset() recovers;
- *  - stats() counts cycles only; ALU/selector/memory counters are not
- *    collected by generated code (a restored snapshot's counters are
- *    adopted as-is).
+ *  - stats(): cycles, ALU and selector counts come from the Engine
+ *    (completed cycles times the spec's ALUs and selectors); memory
+ *    access counters are not collected by generated code (a restored
+ *    snapshot's counters are adopted as-is).
  */
 
 #ifndef ASIM_SIM_NATIVE_ENGINE_HH

@@ -37,20 +37,6 @@ constexpr EngineInfo kEngines[] = {
     {"vm", "compiled bytecode VM (portable ASIM II analog)"},
 };
 
-/** @throws SimError naming the engines when `name` is none of them */
-void
-requireEngine(const std::string &name)
-{
-    std::string known;
-    for (const EngineInfo &e : kEngines) {
-        if (name == e.name)
-            return;
-        known += std::string(known.empty() ? "" : ", ") + e.name;
-    }
-    throw SimError("unknown engine <" + name +
-                   ">; registered engines: " + known);
-}
-
 /** The one route to a native engine build: the codegen options follow
  *  from `opts`, and the build comes from the process-wide build cache,
  *  or from `opts.workDir` when one is pinned. Each real compile is
@@ -84,6 +70,19 @@ std::span<const EngineInfo>
 listEngines()
 {
     return kEngines;
+}
+
+void
+requireEngine(const std::string &name)
+{
+    std::string known;
+    for (const EngineInfo &e : kEngines) {
+        if (name == e.name)
+            return;
+        known += std::string(known.empty() ? "" : ", ") + e.name;
+    }
+    throw SimError("unknown engine <" + name +
+                   ">; registered engines: " + known);
 }
 
 ResolvedSpec

@@ -60,6 +60,9 @@ struct EngineInfo
 /** The four engines named in the file comment, sorted by name. */
 std::span<const EngineInfo> listEngines();
 
+/** @throws SimError naming the engines when `name` is none of them */
+void requireEngine(const std::string &name);
+
 /** How the facade wires memory-mapped I/O when no explicit IoDevice
  *  is supplied in SimulationOptions::config. */
 enum class IoMode

@@ -4,30 +4,6 @@
 #include "support/bitops.hh"
 #include "support/metrics.hh"
 
-/**
- * Dispatch strategy selection (docs/INTERNALS.md):
- *
- *  - ASIM_VM_COMPUTED_GOTO (CMake option, default ON) asks for
- *    threaded dispatch: every handler ends in its own indirect
- *    `goto *table[op]`, giving the branch predictor one site per
- *    opcode pair instead of a single shared dispatch branch.
- *  - The portable fallback is a switch inside a loop; it is the
- *    compiled form on compilers without the labels-as-values
- *    extension and the CI leg that keeps both modes green.
- *
- * Both modes share the same handler bodies through the CASE/NEXT/JUMP
- * macros below, so they cannot drift apart semantically.
- */
-#ifndef ASIM_VM_COMPUTED_GOTO
-#define ASIM_VM_COMPUTED_GOTO 1
-#endif
-
-#if ASIM_VM_COMPUTED_GOTO && (defined(__GNUC__) || defined(__clang__))
-#define ASIM_VM_THREADED 1
-#else
-#define ASIM_VM_THREADED 0
-#endif
-
 namespace asim {
 
 Vm::Vm(std::shared_ptr<const ResolvedSpec> rs,
@@ -94,7 +70,10 @@ Vm::memTrace(const MemoryState &ms, const Instr &in) const
 #define ASIM_FLDTC(w) \
     shiftField(land(mems[(w).c].temp, (w).a), (w).b)
 
-#if ASIM_VM_THREADED
+// Threaded dispatch (labels as values, which GCC and Clang both
+// provide): every handler ends in its own indirect `goto *tbl[op]`,
+// giving the branch predictor one site per opcode pair instead of a
+// single shared dispatch branch.
 #define CASE(name) H_##name:
 #define DISPATCH() goto *tbl[static_cast<uint8_t>(ip->op)]
 #define NEXT() \
@@ -117,29 +96,6 @@ Vm::memTrace(const MemoryState &ms, const Instr &in) const
         ip = base + (t); \
         DISPATCH(); \
     } while (0)
-#else
-#define CASE(name) case Op::name:
-#define NEXT() \
-    { \
-        ++ip; \
-        continue; \
-    }
-#define NEXT2() \
-    { \
-        ip += 2; \
-        continue; \
-    }
-#define NEXTN(k) \
-    { \
-        ip += (k); \
-        continue; \
-    }
-#define JUMP(t) \
-    { \
-        ip = base + (t); \
-        continue; \
-    }
-#endif
 
 void
 Vm::runCycles(uint64_t n)
@@ -151,14 +107,11 @@ Vm::runCycles(uint64_t n)
     const int32_t *const ct = prog_->constTable.data();
     IoDevice *const io = io_;
     const AluSemantics alu = cfg_.aluSemantics;
-    const bool collect = cfg_.collectStats;
     const bool tracing = cfg_.trace != nullptr;
     const uint64_t cycle0 = cycle_;
 
     int32_t s[4] = {0, 0, 0, 0};
     uint64_t left = n;
-    uint64_t aluEvals = 0;
-    uint64_t selEvals = 0;
     const Instr *ip = base;
 
     // Cycles completed so far = n - left; faults report the cycle in
@@ -166,27 +119,16 @@ Vm::runCycles(uint64_t n)
     const auto curCycle = [&] { return cycle0 + (n - left); };
     const auto flush = [&] {
         cycle_ = cycle0 + (n - left);
-        if (collect) {
-            aluEvals += (n - left) * prog_->foldedAlus;
-            stats_.cycles += n - left;
-            stats_.aluEvals += aluEvals;
-            stats_.selEvals += selEvals;
-        }
+        countCycles(n - left);
         if (metrics::timingEnabled()) {
-            // Sampled at run exit from hot-loop locals, never from
-            // inside the dispatch loop: the off path stays one
-            // relaxed load. Dispatch is reported as cycles x static
-            // stream length (selector jumps may skip ops, so this is
-            // the dispatch upper bound the fusion ratio is read from).
+            // Sampled at run exit, never from inside the dispatch
+            // loop: the off path stays one relaxed load. Dispatch is
+            // reported as cycles x static stream length (selector
+            // jumps may skip ops, so this is the dispatch upper bound
+            // the fusion ratio is read from).
             static metrics::Counter &streamOps =
                 metrics::counter("vm.dispatch.stream_ops");
-            static metrics::Counter &aluMetric =
-                metrics::counter("vm.alu_evals");
-            static metrics::Counter &selMetric =
-                metrics::counter("vm.sel_evals");
             streamOps.add((n - left) * prog_->cycle.size());
-            aluMetric.add(aluEvals);
-            selMetric.add(selEvals);
         }
     };
     const auto badAddr = [](const MemoryState &ms) {
@@ -195,7 +137,6 @@ Vm::runCycles(uint64_t n)
     };
 
     try {
-#if ASIM_VM_THREADED
         // One entry per Op, in exact enum order (sim/bytecode.hh).
         static const void *const tbl[] = {
             &&H_SetC, &&H_LoadVar, &&H_LoadTemp, &&H_AccVar,
@@ -238,10 +179,6 @@ Vm::runCycles(uint64_t n)
         static_assert(sizeof(tbl) / sizeof(tbl[0]) == kOpCount,
                       "dispatch table out of sync with Op");
         DISPATCH();
-#else
-        for (;;) {
-            switch (ip->op) {
-#endif
 
         CASE(SetC)
         {
@@ -272,87 +209,73 @@ Vm::runCycles(uint64_t n)
         CASE(AluGen)
         {
             vars[ip->idx] = dologic(s[0], s[1], s[2], alu);
-            aluEvals += collect;
         }
         NEXT();
         CASE(AluConst)
         {
             vars[ip->idx] = dologic(ip->a, s[1], s[2], alu);
-            aluEvals += collect;
         }
         NEXT();
         CASE(AluZero)
         {
             vars[ip->idx] = 0;
-            aluEvals += collect;
         }
         NEXT();
         CASE(AluRight)
         {
             vars[ip->idx] = s[2];
-            aluEvals += collect;
         }
         NEXT();
         CASE(AluLeft)
         {
             vars[ip->idx] = s[1];
-            aluEvals += collect;
         }
         NEXT();
         CASE(AluNot)
         {
             vars[ip->idx] = wsub(kValueMask, s[1]);
-            aluEvals += collect;
         }
         NEXT();
         CASE(AluAdd)
         {
             vars[ip->idx] = wadd(s[1], s[2]);
-            aluEvals += collect;
         }
         NEXT();
         CASE(AluSub)
         {
             vars[ip->idx] = wsub(s[1], s[2]);
-            aluEvals += collect;
         }
         NEXT();
         CASE(AluMul)
         {
             vars[ip->idx] = wmul(s[1], s[2]);
-            aluEvals += collect;
         }
         NEXT();
         CASE(AluAnd)
         {
             vars[ip->idx] = land(s[1], s[2]);
-            aluEvals += collect;
         }
         NEXT();
         CASE(AluOr)
         {
             vars[ip->idx] =
                 wsub(wadd(s[1], s[2]), land(s[1], s[2]));
-            aluEvals += collect;
         }
         NEXT();
         CASE(AluXor)
         {
             vars[ip->idx] =
                 wsub(wadd(s[1], s[2]), wmul(land(s[1], s[2]), 2));
-            aluEvals += collect;
         }
         NEXT();
         CASE(AluEq)
         {
             vars[ip->idx] = s[1] == s[2] ? 1 : 0;
-            aluEvals += collect;
         }
         NEXT();
         CASE(AluLt)
         {
             vars[ip->idx] = s[1] < s[2] ? 1 : 0;
-            aluEvals += collect;
         }
         NEXT();
 
@@ -382,7 +305,6 @@ Vm::runCycles(uint64_t n)
             if (static_cast<uint32_t>(s[0]) >=
                 static_cast<uint32_t>(ip->b))
                 selFail(*ip, s[0], curCycle());
-            selEvals += collect;
             JUMP(jt[ip->a + s[0]]);
         }
         CASE(Jump)
@@ -394,7 +316,6 @@ Vm::runCycles(uint64_t n)
             if (static_cast<uint32_t>(s[0]) >=
                 static_cast<uint32_t>(ip->b))
                 selFail(*ip, s[0], curCycle());
-            selEvals += collect;
             vars[ip->idx] = ct[ip->a + s[0]];
         }
         NEXT();
@@ -447,8 +368,7 @@ Vm::runCycles(uint64_t n)
                 checkAddr(ms, ip->idx, curCycle());
             if (!(ip->reg & kMemFlagElideTemp))
                 ms.temp = ms.cells[ms.adr];
-            if (collect)
-                ++stats_.mems[ip->idx].reads;
+            ++stats_.mems[ip->idx].reads;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -460,8 +380,7 @@ Vm::runCycles(uint64_t n)
                 checkAddr(ms, ip->idx, curCycle());
             ms.temp = s[1];
             ms.cells[ms.adr] = s[1];
-            if (collect)
-                ++stats_.mems[ip->idx].writes;
+            ++stats_.mems[ip->idx].writes;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -470,8 +389,7 @@ Vm::runCycles(uint64_t n)
         {
             MemoryState &ms = mems[ip->idx];
             ms.temp = io->input(ms.adr);
-            if (collect)
-                ++stats_.mems[ip->idx].inputs;
+            ++stats_.mems[ip->idx].inputs;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -481,8 +399,7 @@ Vm::runCycles(uint64_t n)
             MemoryState &ms = mems[ip->idx];
             ms.temp = s[1];
             io->output(ms.adr, s[1]);
-            if (collect)
-                ++stats_.mems[ip->idx].outputs;
+            ++stats_.mems[ip->idx].outputs;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -498,12 +415,10 @@ Vm::runCycles(uint64_t n)
                     checkAddr(ms, ip->idx, curCycle());
                 if (!(ip->reg & kMemFlagElideTemp))
                     ms.temp = ms.cells[ms.adr];
-                if (collect)
-                    ++stats_.mems[ip->idx].reads;
+                ++stats_.mems[ip->idx].reads;
             } else { // input
                 ms.temp = io->input(ms.adr);
-                if (collect)
-                    ++stats_.mems[ip->idx].inputs;
+                ++stats_.mems[ip->idx].inputs;
             }
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
@@ -520,12 +435,10 @@ Vm::runCycles(uint64_t n)
             ms.temp = s[1];
             if (mop == mem_op::kWrite) {
                 ms.cells[ms.adr] = s[1];
-                if (collect)
-                    ++stats_.mems[ip->idx].writes;
+                ++stats_.mems[ip->idx].writes;
             } else { // output
                 io->output(ms.adr, s[1]);
-                if (collect)
-                    ++stats_.mems[ip->idx].outputs;
+                ++stats_.mems[ip->idx].outputs;
             }
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
@@ -696,8 +609,7 @@ Vm::runCycles(uint64_t n)
                 checkAddr(ms, ip->idx, curCycle());
             ms.temp = ip->a;
             ms.cells[ms.adr] = ip->a;
-            if (collect)
-                ++stats_.mems[ip->idx].writes;
+            ++stats_.mems[ip->idx].writes;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -710,8 +622,7 @@ Vm::runCycles(uint64_t n)
             const int32_t d = ASIM_FLDVC(*ip);
             ms.temp = d;
             ms.cells[ms.adr] = d;
-            if (collect)
-                ++stats_.mems[ip->idx].writes;
+            ++stats_.mems[ip->idx].writes;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -724,8 +635,7 @@ Vm::runCycles(uint64_t n)
             const int32_t d = ASIM_FLDTC(*ip);
             ms.temp = d;
             ms.cells[ms.adr] = d;
-            if (collect)
-                ++stats_.mems[ip->idx].writes;
+            ++stats_.mems[ip->idx].writes;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -735,8 +645,7 @@ Vm::runCycles(uint64_t n)
             MemoryState &ms = mems[ip->idx];
             ms.temp = ip->a;
             io->output(ms.adr, ip->a);
-            if (collect)
-                ++stats_.mems[ip->idx].outputs;
+            ++stats_.mems[ip->idx].outputs;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -747,8 +656,7 @@ Vm::runCycles(uint64_t n)
             const int32_t d = ASIM_FLDVC(*ip);
             ms.temp = d;
             io->output(ms.adr, d);
-            if (collect)
-                ++stats_.mems[ip->idx].outputs;
+            ++stats_.mems[ip->idx].outputs;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -759,8 +667,7 @@ Vm::runCycles(uint64_t n)
             const int32_t d = ASIM_FLDTC(*ip);
             ms.temp = d;
             io->output(ms.adr, d);
-            if (collect)
-                ++stats_.mems[ip->idx].outputs;
+            ++stats_.mems[ip->idx].outputs;
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
@@ -773,7 +680,6 @@ Vm::runCycles(uint64_t n)
             if (static_cast<uint32_t>(sel) >=
                 static_cast<uint32_t>(ip->b))
                 selFail(*ip, sel, curCycle());
-            selEvals += collect;
             vars[ip->idx] = ct[ip->a + sel];
         }
         NEXT2();
@@ -784,7 +690,6 @@ Vm::runCycles(uint64_t n)
             if (static_cast<uint32_t>(sel) >=
                 static_cast<uint32_t>(ip->b))
                 selFail(*ip, sel, curCycle());
-            selEvals += collect;
             vars[ip->idx] = ct[ip->a + sel];
         }
         NEXT2();
@@ -795,7 +700,6 @@ Vm::runCycles(uint64_t n)
             if (static_cast<uint32_t>(sel) >=
                 static_cast<uint32_t>(ip->b))
                 selFail(*ip, sel, curCycle());
-            selEvals += collect;
             JUMP(jt[ip->a + sel]);
         }
         CASE(SwitchT)
@@ -805,7 +709,6 @@ Vm::runCycles(uint64_t n)
             if (static_cast<uint32_t>(sel) >=
                 static_cast<uint32_t>(ip->b))
                 selFail(*ip, sel, curCycle());
-            selEvals += collect;
             JUMP(jt[ip->a + sel]);
         }
 
@@ -881,13 +784,11 @@ Vm::runCycles(uint64_t n)
                     checkAddr(ms, ip->idx, curCycle());
                 ms.temp = d;
                 ms.cells[ms.adr] = d;
-                if (collect)
-                    ++stats_.mems[ip->idx].writes;
+                ++stats_.mems[ip->idx].writes;
             } else { // output
                 ms.temp = d;
                 io->output(ms.adr, d);
-                if (collect)
-                    ++stats_.mems[ip->idx].outputs;
+                ++stats_.mems[ip->idx].outputs;
             }
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
@@ -903,13 +804,11 @@ Vm::runCycles(uint64_t n)
                     checkAddr(ms, ip->idx, curCycle());
                 ms.temp = d;
                 ms.cells[ms.adr] = d;
-                if (collect)
-                    ++stats_.mems[ip->idx].writes;
+                ++stats_.mems[ip->idx].writes;
             } else { // output
                 ms.temp = d;
                 io->output(ms.adr, d);
-                if (collect)
-                    ++stats_.mems[ip->idx].outputs;
+                ++stats_.mems[ip->idx].outputs;
             }
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
@@ -925,13 +824,11 @@ Vm::runCycles(uint64_t n)
                     checkAddr(ms, ip->idx, curCycle());
                 ms.temp = d;
                 ms.cells[ms.adr] = d;
-                if (collect)
-                    ++stats_.mems[ip->idx].writes;
+                ++stats_.mems[ip->idx].writes;
             } else { // output
                 ms.temp = d;
                 io->output(ms.adr, d);
-                if (collect)
-                    ++stats_.mems[ip->idx].outputs;
+                ++stats_.mems[ip->idx].outputs;
             }
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
@@ -949,7 +846,6 @@ Vm::runCycles(uint64_t n)
             const int32_t l = (LEXPR);                                 \
             const int32_t r = (REXPR);                                 \
             vars[ip->idx] = (VEXPR);                                   \
-            aluEvals += collect;                                       \
         }                                                              \
         NEXT2();
         ASIM_ALU_FUSED_ALL(ASIM_ALU_FUSED_HANDLER)
@@ -968,7 +864,6 @@ Vm::runCycles(uint64_t n)
             if (static_cast<uint32_t>(sel) >=
                 static_cast<uint32_t>(ip->b))
                 selFail(*ip, sel, curCycle());
-            selEvals += collect;
             const Instr &d = ip[2 + sel];
             const int32_t src = d.reg ? mems[d.idx].temp
                                       : vars[d.idx];
@@ -983,7 +878,6 @@ Vm::runCycles(uint64_t n)
             if (static_cast<uint32_t>(sel) >=
                 static_cast<uint32_t>(ip->b))
                 selFail(*ip, sel, curCycle());
-            selEvals += collect;
             const Instr &d = ip[2 + sel];
             const int32_t src = d.reg ? mems[d.idx].temp
                                       : vars[d.idx];
@@ -1070,7 +964,6 @@ Vm::runCycles(uint64_t n)
                               : (banks & 48) == 16 ? ASIM_FLDV(e3)
                                                    : ASIM_FLDT(e3);
             vars[ip->idx] = dologic(f, l, r, alu);
-            aluEvals += collect;
             NEXTN(4);
         }
 
@@ -1094,18 +987,15 @@ Vm::runCycles(uint64_t n)
                 const bool keep =
                     !wr && (ip->reg & kMemFlagElideTemp);
                 ms.temp = keep ? ms.temp : v;
-                if (collect)
-                    ++(wr ? stats_.mems[ip->idx].writes
+                ++(wr ? stats_.mems[ip->idx].writes
                           : stats_.mems[ip->idx].reads);
             } else if (mop == mem_op::kOutput) {
                 ms.temp = ip->a;
                 io->output(ms.adr, ip->a);
-                if (collect)
-                    ++stats_.mems[ip->idx].outputs;
+                ++stats_.mems[ip->idx].outputs;
             } else { // input
                 ms.temp = io->input(ms.adr);
-                if (collect)
-                    ++stats_.mems[ip->idx].inputs;
+                ++stats_.mems[ip->idx].inputs;
             }
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
@@ -1125,19 +1015,16 @@ Vm::runCycles(uint64_t n)
                 const bool keep =
                     !wr && (ip->reg & kMemFlagElideTemp);
                 ms.temp = keep ? ms.temp : v;
-                if (collect)
-                    ++(wr ? stats_.mems[ip->idx].writes
+                ++(wr ? stats_.mems[ip->idx].writes
                           : stats_.mems[ip->idx].reads);
             } else if (mop == mem_op::kOutput) {
                 const int32_t d = ASIM_FLDVC(*ip);
                 ms.temp = d;
                 io->output(ms.adr, d);
-                if (collect)
-                    ++stats_.mems[ip->idx].outputs;
+                ++stats_.mems[ip->idx].outputs;
             } else { // input
                 ms.temp = io->input(ms.adr);
-                if (collect)
-                    ++stats_.mems[ip->idx].inputs;
+                ++stats_.mems[ip->idx].inputs;
             }
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
@@ -1157,29 +1044,21 @@ Vm::runCycles(uint64_t n)
                 const bool keep =
                     !wr && (ip->reg & kMemFlagElideTemp);
                 ms.temp = keep ? ms.temp : v;
-                if (collect)
-                    ++(wr ? stats_.mems[ip->idx].writes
+                ++(wr ? stats_.mems[ip->idx].writes
                           : stats_.mems[ip->idx].reads);
             } else if (mop == mem_op::kOutput) {
                 const int32_t d = ASIM_FLDTC(*ip);
                 ms.temp = d;
                 io->output(ms.adr, d);
-                if (collect)
-                    ++stats_.mems[ip->idx].outputs;
+                ++stats_.mems[ip->idx].outputs;
             } else { // input
                 ms.temp = io->input(ms.adr);
-                if (collect)
-                    ++stats_.mems[ip->idx].inputs;
+                ++stats_.mems[ip->idx].inputs;
             }
             if (ip->reg & (kMemFlagTraceW | kMemFlagTraceR))
                 memTrace(ms, *ip);
         }
         NEXT();
-
-#if !ASIM_VM_THREADED
-            }
-        }
-#endif
     } catch (...) {
         flush();
         throw;
@@ -1200,16 +1079,6 @@ Vm::run(uint64_t cycles)
 {
     if (cycles > 0)
         runCycles(cycles);
-}
-
-const char *
-vmDispatchMode()
-{
-#if ASIM_VM_THREADED
-    return "computed-goto (threaded)";
-#else
-    return "portable switch";
-#endif
 }
 
 std::unique_ptr<Engine>

@@ -5,9 +5,8 @@
  * The VM executes the program's fused whole-cycle stream in a single
  * dispatch loop: one runCycles() call executes any number of cycles
  * without leaving the interpreter core. Dispatch is threaded
- * (computed goto) on GCC/Clang when ASIM_VM_COMPUTED_GOTO is enabled
- * at configure time, with a portable switch fallback otherwise —
- * vmDispatchMode() reports which one this build uses.
+ * (computed goto, a GCC/Clang extension): every handler ends in its
+ * own indirect `goto *table[op]`.
  */
 
 #ifndef ASIM_SIM_VM_HH
@@ -70,11 +69,6 @@ class Vm : public Engine
     /** Immutable, potentially cross-thread-shared; never written. */
     std::shared_ptr<const Program> prog_;
 };
-
-/** Human-readable name of the dispatch strategy compiled into this
- *  build of the VM: "computed-goto (threaded)" or
- *  "portable switch". */
-const char *vmDispatchMode();
 
 } // namespace asim
 

@@ -65,6 +65,11 @@ int countOccurrences(std::string_view hay, std::string_view needle);
 std::optional<int64_t> parseInteger(std::string_view text, int64_t min,
                                     int64_t max, int base);
 
+/** `s` escaped for the inside of a JSON string literal: quotes and
+ *  backslashes, `\n` `\t` `\r` by name, other control characters as
+ *  `\u00XX`. */
+std::string jsonEscape(std::string_view s);
+
 /** The whole file at `path`, byte for byte; nothing when it cannot be
  *  opened or read. */
 std::optional<std::string> readFile(const std::string &path);

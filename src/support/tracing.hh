@@ -104,10 +104,6 @@ void instantEvent(const char *name, const char *cat,
 /** Emit a counter ("ph":"C") event: one numeric series sample. */
 void counterEvent(const char *name, const char *series, double value);
 
-/** Escape `s` for inclusion inside a JSON string literal (quotes,
- *  backslashes, control characters). For building span args. */
-std::string jsonEscape(const std::string &s);
-
 /** RAII complete-event span. Captures enabled() once at construction;
  *  a span built while tracing is off stays inert even if tracing
  *  starts before it closes (and vice versa: a span open across stop()

@@ -519,6 +519,37 @@ TEST_F(ManifestTest, MalformedLinesThrowWithLineNumbers)
                  SimError);
 }
 
+TEST_F(ManifestTest, UnknownEngineNamesTheLine)
+{
+    std::string path = writeManifest(
+        "# engines\n" + std::string(ASIM_SPECS_DIR) +
+        "/counter.asim engine=jit\n");
+    try {
+        BatchRunner().loadManifest(path, SimulationOptions{});
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "batch manifest " + path +
+                      ":2: unknown engine <jit>; registered engines: "
+                      "interp, native, symbolic, vm");
+    }
+}
+
+TEST_F(ManifestTest, UnknownFaultModeNamesTheLine)
+{
+    std::string path = writeManifest(std::string(ASIM_SPECS_DIR) +
+                                     "/counter.asim fault=count:0:bogus@2\n");
+    try {
+        BatchRunner().loadManifest(path, SimulationOptions{});
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "batch manifest " + path +
+                      ":1: Error. Unknown fault injector <bogus>; "
+                      "registered injectors: set0, set1, toggle.");
+    }
+}
+
 // ---------------------------------------------------------------------
 // The headline property: byte-identical results across thread counts.
 // ---------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "machines/counter.hh"
 #include "machines/tiny_computer.hh"
 #include "sim/native_engine.hh"
+#include "sim/partition.hh"
 #include "sim/simulation.hh"
 
 #ifndef ASIM_SPECS_DIR
@@ -477,6 +478,91 @@ TEST_F(NativeFacade, ScriptedStdinReachesProgram)
     sim.run(sim.defaultCycles());
     EXPECT_EQ(os.str(), "10\n20\n30\n40\n50\n");
 }
+
+TEST_F(NativeFacade, CountsAluAndSelectorEvaluationsLikeTheVm)
+{
+    SimulationOptions opts;
+    opts.specFile = std::string(ASIM_SPECS_DIR) + "/gcd.asim";
+    opts.engine = "vm";
+    Simulation vm(opts);
+    opts.engine = "native";
+    Simulation native(opts);
+    vm.run(40);
+    native.run(40);
+    // gcd.asim: 6 ALUs and 3 selectors, each evaluated every cycle.
+    EXPECT_EQ(vm.stats().aluEvals, 40u * 6);
+    EXPECT_EQ(vm.stats().selEvals, 40u * 3);
+    EXPECT_EQ(native.stats().aluEvals, vm.stats().aluEvals);
+    EXPECT_EQ(native.stats().selEvals, vm.stats().selEvals);
+}
+
+/** One engine leg of the fault-statistics test: a listEngines() name
+ *  and a lane count (interp only). */
+struct StatsLeg
+{
+    const char *engine;
+    unsigned partitions;
+};
+
+/** Names the parameter in test listings (not a pointer dump). */
+void
+PrintTo(const StatsLeg &leg, std::ostream *os)
+{
+    *os << leg.engine << " x" << leg.partitions;
+}
+
+class FaultStats : public ::testing::TestWithParam<StatsLeg>
+{};
+
+/** At a fault every engine counts completed cycles only, whatever
+ *  part of the faulting cycle it evaluated before stopping. `sel`
+ *  indexes its two cases with the running count, so cycle 2 faults:
+ *  the interpreters have evaluated both ALUs by then, the vm one
+ *  (`k` is folded to a constant), native none. */
+TEST_P(FaultStats, CountCompletedCyclesOnly)
+{
+    const StatsLeg leg = GetParam();
+    if (std::string(leg.engine) == "native" &&
+        !NativeEngine::available())
+        GTEST_SKIP() << "no host compiler";
+    SimulationOptions opts;
+    opts.specText = "# fstats\n"
+                    "= 10\n"
+                    "count sel inc k .\n"
+                    "A k 4 1 2\n"
+                    "A inc 4 count 1\n"
+                    "S sel count 0 1\n"
+                    "M count 0 inc 1 1\n"
+                    ".\n";
+    opts.engine = leg.engine;
+    opts.partitions = leg.partitions;
+    opts.partitionMinComponents = 1;
+    Simulation sim(opts);
+    EXPECT_EQ(dynamic_cast<const PartitionedInterpreter *>(
+                  &sim.engine()) != nullptr,
+              leg.partitions > 1);
+    try {
+        sim.run(10);
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_STREQ(e.what(),
+                     "selector sel index 2 outside its 2 cases (cycle 2)");
+    }
+    EXPECT_EQ(sim.cycle(), 2u);
+    EXPECT_EQ(sim.stats().cycles, 2u);
+    EXPECT_EQ(sim.stats().aluEvals, 4u);
+    EXPECT_EQ(sim.stats().selEvals, 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, FaultStats,
+    ::testing::Values(StatsLeg{"interp", 1}, StatsLeg{"symbolic", 1},
+                      StatsLeg{"vm", 1}, StatsLeg{"native", 1},
+                      StatsLeg{"interp", 2}),
+    [](const auto &info) {
+        return std::string(info.param.engine) +
+               (info.param.partitions > 1 ? "_partitioned" : "");
+    });
 
 } // namespace
 } // namespace asim

@@ -91,5 +91,15 @@ TEST(Text, ParseIntegerRefusesMalformedOrOutOfRange)
     EXPECT_FALSE(parseInteger(std::string_view("12\0", 3), 0, 100, 10));
 }
 
+TEST(Text, JsonEscape)
+{
+    EXPECT_EQ(jsonEscape("plain"), "plain");
+    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
+    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+    // Newlines round-trip (multi-line io_text in batch reports).
+    EXPECT_EQ(jsonEscape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
+    EXPECT_EQ(jsonEscape(std::string_view("x\x01y", 3)), "x\\u0001y");
+}
+
 } // namespace
 } // namespace asim

@@ -1,7 +1,7 @@
 /** @file
  * Span tracer: trace-file shape (Chrome trace_event JSON with the
  * metrics registry embedded), start/stop lifecycle, span inertness
- * when disabled, and the jsonEscape helper span args rely on.
+ * when disabled.
  */
 
 #include <gtest/gtest.h>
@@ -147,14 +147,6 @@ TEST_F(TracingTest, SpanOpenAcrossStopIsDropped)
     s.reset(); // finishes after the file closed: dropped, no crash
     std::string text = slurp(path_);
     EXPECT_EQ(text.find("late.span"), std::string::npos);
-}
-
-TEST_F(TracingTest, JsonEscape)
-{
-    EXPECT_EQ(jsonEscape("plain"), "plain");
-    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(jsonEscape(std::string("a\nb")), "a b");
 }
 
 TEST_F(TracingTest, CurrentTidStablePerThread)
