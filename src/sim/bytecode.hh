@@ -15,9 +15,10 @@
  *    microcode-ROM pattern), and single-term expressions fuse with
  *    their destination (store/latch). This mirrors, in a portable
  *    form, the optimizations the thesis applied to generated Pascal
- *    (§4.4). The phase streams are the *canonical* lowering: the
- *    disassembler prints them, and the optimizer treats them as
- *    read-only input.
+ *    (§4.4). The comb stream follows scheduleComb() (sim/compiler.hh):
+ *    a topological order that groups same-shaped components. The
+ *    phase streams are the *canonical* lowering: the disassembler
+ *    prints them, and the optimizer treats them as read-only input.
  *
  * 2. **Link + optimize** (sim/optimizer.cc) — the phases are
  *    concatenated into one `cycle` stream (comb, TraceCycle, latch,
@@ -30,7 +31,7 @@
  *    bounds checks that a static range analysis of the address
  *    expression proves can never fire.
  *
- * Superinstructions that need more operand space than one 16-byte
+ * Superinstructions that need more operand space than one 20-byte
  * word carry an **extension word**: the following `Instr` slot holds
  * extra operands and has `op == Op::Ext`; it is decoded by its owner
  * and never dispatched (the optimizer never fuses across a jump
@@ -268,16 +269,19 @@ enum VmMemFlags : uint8_t
     kMemFlagNoCheck = 8,   ///< address statically proven in range
 };
 
-/** One VM instruction (16 bytes). */
+/** One VM instruction (20 bytes). `idx` and `c` hold var slots and
+ *  memory indexes, so both are 32 bits wide: a design may have any
+ *  number of components. */
 struct Instr
 {
     Op op = Op::SetC;
     uint8_t reg = 0;
-    uint16_t idx = 0;
+    uint32_t idx = 0;
     int32_t a = 0;
     int32_t b = 0;
     int32_t c = 0;
 };
+static_assert(sizeof(Instr) == 20, "Instr layout (docs/INTERNALS.md)");
 
 /** Selector cold data (bounds diagnostics). */
 struct SelInfo
@@ -322,6 +326,9 @@ struct Program
         uint32_t deadStores = 0;   ///< dead scratch stores removed
         uint32_t checksElided = 0; ///< memories with bounds checks
                                    ///< statically discharged
+        uint32_t segments = 0;     ///< fault-free comb runs the
+                                   ///< schedule reordered
+        uint32_t shapes = 0;       ///< distinct comb component shapes
     };
     OptSummary opt;
 

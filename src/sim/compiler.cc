@@ -1,7 +1,10 @@
 #include "sim/compiler.hh"
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
 #include "lang/alu_ops.hh"
 #include "sim/optimizer.hh"
@@ -74,6 +77,59 @@ aluDirectOp(int32_t funct)
     }
 }
 
+/** Call `f` on every expression a combinational component reads. */
+template <typename F>
+void
+forEachExpr(const CombComp &c, F &&f)
+{
+    if (c.kind == CompKind::Alu) {
+        f(c.funct);
+        f(c.left);
+        f(c.right);
+    } else {
+        f(c.select);
+        for (const auto &e : c.cases)
+            f(e);
+    }
+}
+
+/** True if evaluating `c` can fault at run time: a selector whose
+ *  index is not provably in range, or an ALU whose function is not
+ *  provably in 0..13. */
+bool
+canFault(const CombComp &c)
+{
+    if (c.kind == CompKind::Selector) {
+        return !exprInRange(c.select,
+                            static_cast<int64_t>(c.cases.size()));
+    }
+    return c.functConst ? !validAluFunction(c.functValue)
+                        : !exprInRange(c.funct, kAluFunctionCount);
+}
+
+/** Feed `out` the symbols that decide the opcodes `c` lowers to:
+ *  the kind and the constant ALU function (or "dynamic"), then per
+ *  expression whether it has a constant part, each term's bank, and
+ *  a terminator (which gives the term count). */
+template <typename Out>
+void
+shapeSymbols(const CombComp &c, Out &&out)
+{
+    if (c.kind == CompKind::Alu) {
+        out('A');
+        out(static_cast<char>(c.functConst ? c.functValue
+                                           : kAluFunctionCount));
+    } else {
+        out('S');
+    }
+    forEachExpr(c, [&](const ResolvedExpr &e) {
+        out(e.constTotal != 0 ? 'c' : '-');
+        for (const auto &t : e.terms)
+            out(t.bank == ResolvedTerm::Bank::Var ? 'v' : 't');
+        out('|');
+    });
+}
+
 class Compiler
 {
   public:
@@ -86,7 +142,11 @@ class Compiler
     run()
     {
         findUnobservedTemps();
-        for (const auto &c : rs_.comb) {
+        const CombSchedule sched = scheduleComb(rs_);
+        prog_.opt.segments = sched.segments;
+        prog_.opt.shapes = sched.shapes;
+        for (uint32_t i : sched.order) {
+            const CombComp &c = rs_.comb[i];
             if (c.kind == CompKind::Alu)
                 compileAlu(c);
             else
@@ -118,7 +178,7 @@ class Compiler
             else
                 op = first ? Op::LoadTemp : Op::AccTemp;
             first = false;
-            code.push_back({op, reg, static_cast<uint16_t>(t.slot),
+            code.push_back({op, reg, static_cast<uint32_t>(t.slot),
                             t.mask, t.shift, 0});
         }
     }
@@ -134,7 +194,7 @@ class Compiler
     /** Emit `vars[dst] = e`, fusing constants and single fields. */
     void
     compileStoreVar(std::vector<Instr> &code, const ResolvedExpr &e,
-                    uint16_t dst)
+                    uint32_t dst)
     {
         if (e.isConstant()) {
             code.push_back({Op::StoreC, 0, dst, e.constTotal, 0, 0});
@@ -154,7 +214,7 @@ class Compiler
     /** Emit a latch (`mems[m].adr/opn = e`) with the same fusions. */
     void
     compileLatch(std::vector<Instr> &code, const ResolvedExpr &e,
-                 uint16_t mem, bool isAdr)
+                 uint32_t mem, bool isAdr)
     {
         if (e.isConstant()) {
             code.push_back({isAdr ? Op::MemAdrC : Op::MemOpnC, 0, mem,
@@ -180,7 +240,7 @@ class Compiler
     compileAlu(const CombComp &c)
     {
         auto &code = prog_.comb;
-        const auto slot = static_cast<uint16_t>(c.slot);
+        const auto slot = static_cast<uint32_t>(c.slot);
 
         if (c.functConst && opts_.inlineConstAlu) {
             bool needL = true, needR = true;
@@ -223,7 +283,7 @@ class Compiler
     compileSelector(const CombComp &c)
     {
         auto &code = prog_.comb;
-        const auto slot = static_cast<uint16_t>(c.slot);
+        const auto slot = static_cast<uint32_t>(c.slot);
 
         prog_.selInfos.push_back(
             {c.name, static_cast<int32_t>(c.cases.size())});
@@ -284,14 +344,8 @@ class Compiler
                     observedTemps_.insert(t.slot);
             }
         };
-        for (const auto &c : rs_.comb) {
-            note(c.funct);
-            note(c.left);
-            note(c.right);
-            note(c.select);
-            for (const auto &e : c.cases)
-                note(e);
-        }
+        for (const auto &c : rs_.comb)
+            forEachExpr(c, note);
         for (const auto &m : rs_.mems) {
             note(m.addr);
             note(m.data);
@@ -308,14 +362,14 @@ class Compiler
     {
         // Latch phase: address and operation of every memory.
         for (const auto &m : rs_.mems) {
-            const auto idx = static_cast<uint16_t>(m.index);
+            const auto idx = static_cast<uint32_t>(m.index);
             compileLatch(prog_.latch, m.addr, idx, true);
             compileLatch(prog_.latch, m.opn, idx, false);
         }
 
         // Update phase, declaration order.
         for (const auto &m : rs_.mems) {
-            const auto idx = static_cast<uint16_t>(m.index);
+            const auto idx = static_cast<uint32_t>(m.index);
             prog_.memInfos.push_back({m.name});
 
             const bool mayTrace =
@@ -374,6 +428,88 @@ class Compiler
 };
 
 } // namespace
+
+CombSchedule
+scheduleComb(const ResolvedSpec &rs)
+{
+    const size_t n = rs.comb.size();
+    std::vector<uint32_t> level(rs.numVarSlots, 0);
+    std::vector<uint32_t> levelOf(n), shapeOf(n), segmentOf(n);
+    // Shapes are interned by a 64-bit FNV-1a hash of their symbols (a
+    // collision would only merge two groups); the text is built once
+    // per distinct shape, to rank them.
+    std::unordered_map<uint64_t, uint32_t> ids;
+    std::vector<std::string> texts;
+    CombSchedule sched;
+    uint32_t segment = 0, maxLevel = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const CombComp &c = rs.comb[i];
+        uint32_t lvl = 0; // memory temps and constants: level 0
+        forEachExpr(c, [&](const ResolvedExpr &e) {
+            for (const auto &t : e.terms) {
+                if (t.bank == ResolvedTerm::Bank::Var)
+                    lvl = std::max(lvl, level[t.slot]);
+            }
+        });
+        levelOf[i] = level[c.slot] = ++lvl;
+        maxLevel = std::max(maxLevel, lvl);
+
+        uint64_t h = 14695981039346656037ull;
+        shapeSymbols(c, [&](char sym) {
+            h = (h ^ static_cast<uint8_t>(sym)) * 1099511628211ull;
+        });
+        const auto [it, added] =
+            ids.try_emplace(h, static_cast<uint32_t>(texts.size()));
+        if (added) {
+            texts.emplace_back();
+            shapeSymbols(c, [&](char sym) { texts.back() += sym; });
+        }
+        shapeOf[i] = it->second;
+
+        // Fault-free runs get even segment ids; a barrier gets the
+        // odd id between its neighbours.
+        if (canFault(c)) {
+            segmentOf[i] = segment + 1;
+            segment += 2;
+        } else {
+            if (i == 0 || segmentOf[i - 1] != segment)
+                ++sched.segments;
+            segmentOf[i] = segment;
+        }
+    }
+
+    // Rank shapes by their text, so neighbouring groups share opcode
+    // prefixes as well.
+    std::vector<uint32_t> byText(texts.size()), rank(texts.size());
+    std::iota(byText.begin(), byText.end(), 0u);
+    std::sort(byText.begin(), byText.end(), [&](uint32_t x, uint32_t y) {
+        return texts[x] < texts[y];
+    });
+    for (uint32_t r = 0; r < byText.size(); ++r)
+        rank[byText[r]] = r;
+    for (uint32_t &shape : shapeOf)
+        shape = rank[shape];
+
+    // Stable sort by (segment, level, shape rank): three counting
+    // sorts, least significant key first.
+    sched.order.resize(n);
+    std::iota(sched.order.begin(), sched.order.end(), 0u);
+    std::vector<uint32_t> out(n);
+    auto countingSort = [&](size_t range, auto keyOf) {
+        std::vector<uint32_t> at(range + 1, 0);
+        for (uint32_t i : sched.order)
+            ++at[keyOf(i) + 1];
+        std::partial_sum(at.begin(), at.end(), at.begin());
+        for (uint32_t i : sched.order)
+            out[at[keyOf(i)]++] = i;
+        sched.order.swap(out);
+    };
+    countingSort(texts.size(), [&](uint32_t i) { return shapeOf[i]; });
+    countingSort(maxLevel + 1, [&](uint32_t i) { return levelOf[i]; });
+    countingSort(segment + 1, [&](uint32_t i) { return segmentOf[i]; });
+    sched.shapes = static_cast<uint32_t>(texts.size());
+    return sched;
+}
 
 const char *
 opName(Op op)
@@ -502,7 +638,9 @@ Program::disassemble() const
        << " entries\n";
     os << "opt: linked=" << opt.linked << " cycle=" << cycle.size()
        << " fused=" << opt.fused << " deadStores=" << opt.deadStores
-       << " checksElided=" << opt.checksElided << "\n";
+       << " checksElided=" << opt.checksElided
+       << " segments=" << opt.segments << " shapes=" << opt.shapes
+       << "\n";
     return os.str();
 }
 

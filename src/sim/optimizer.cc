@@ -118,31 +118,6 @@ aluComboIndex(Side l, Side r)
     return r == Side::V ? 6 : r == Side::T ? 7 : -1;
 }
 
-/**
- * True when every value of the address expression provably lies in
- * [0, cells): the constant part is non-negative, every term is a
- * masked (bounded, non-negative) field, and the running maximum never
- * reaches 2^31 (so the wrapping adds cannot wrap) nor `cells`.
- */
-bool
-addrSafe(const ResolvedExpr &e, int64_t cells)
-{
-    if (e.constTotal < 0)
-        return false;
-    int64_t max = e.constTotal;
-    for (const auto &t : e.terms) {
-        if (t.mask < 0)
-            return false; // whole-word term: value unbounded
-        const int64_t m = static_cast<int64_t>(t.mask);
-        const int64_t termMax =
-            t.shift >= 0 ? m << t.shift : m >> -t.shift;
-        max += termMax;
-        if (max >= (int64_t{1} << 31))
-            return false;
-    }
-    return max < cells;
-}
-
 /** Scratch registers read by `in` (bitmask over s0..s3). Extension
  *  words and fused forms read nothing: their operands are inline. */
 uint8_t
@@ -247,7 +222,7 @@ class Optimizer
     {
         std::set<int> safe;
         for (const auto &m : rs_.mems) {
-            if (addrSafe(m.addr, m.size))
+            if (exprInRange(m.addr, m.size))
                 safe.insert(m.index);
         }
         if (safe.empty())
@@ -342,13 +317,13 @@ class Optimizer
                     break;
                   case Op::StoreFVar:
                     d.reg = 0;
-                    d.idx = static_cast<uint16_t>(st.c);
+                    d.idx = static_cast<uint32_t>(st.c);
                     d.a = st.a;
                     d.b = st.b;
                     break;
                   case Op::StoreFTemp:
                     d.reg = 1;
-                    d.idx = static_cast<uint16_t>(st.c);
+                    d.idx = static_cast<uint32_t>(st.c);
                     d.a = st.a;
                     d.b = st.b;
                     uniform = false;
@@ -912,6 +887,25 @@ class Optimizer
 };
 
 } // namespace
+
+bool
+exprInRange(const ResolvedExpr &e, int64_t bound)
+{
+    if (e.constTotal < 0)
+        return false;
+    int64_t max = e.constTotal;
+    for (const auto &t : e.terms) {
+        if (t.mask < 0)
+            return false; // whole-word term: value unbounded
+        const int64_t m = static_cast<int64_t>(t.mask);
+        const int64_t termMax =
+            t.shift >= 0 ? m << t.shift : m >> -t.shift;
+        max += termMax;
+        if (max >= (int64_t{1} << 31))
+            return false;
+    }
+    return max < bound;
+}
 
 void
 linkAndOptimize(Program &prog, const ResolvedSpec &rs,

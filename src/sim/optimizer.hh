@@ -33,6 +33,16 @@ namespace asim {
 void linkAndOptimize(Program &prog, const ResolvedSpec &rs,
                      const CompilerOptions &opts);
 
+/**
+ * True when every value of `e` provably lies in [0, bound): the
+ * constant part is non-negative, every term is a masked (bounded,
+ * non-negative) field, and the running maximum never reaches 2^31 (so
+ * the wrapping adds cannot wrap) nor `bound`. Bounds-check elision
+ * asks it of memory addresses; the comb schedule (sim/compiler.cc)
+ * of selector indexes and dynamic ALU functions.
+ */
+bool exprInRange(const ResolvedExpr &e, int64_t bound);
+
 } // namespace asim
 
 #endif // ASIM_SIM_OPTIMIZER_HH

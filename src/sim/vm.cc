@@ -21,7 +21,7 @@ Vm::Vm(std::shared_ptr<const ResolvedSpec> rs,
 {}
 
 void
-Vm::checkAddr(const MemoryState &ms, uint16_t idx,
+Vm::checkAddr(const MemoryState &ms, uint32_t idx,
               uint64_t cycle) const
 {
     throw SimError("memory " + prog_->memInfos[idx].name +

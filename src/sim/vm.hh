@@ -56,7 +56,7 @@ class Vm : public Engine
     void runCycles(uint64_t n);
 
     /** Bounds-check a latched address; throws SimError. */
-    void checkAddr(const MemoryState &ms, uint16_t idx,
+    void checkAddr(const MemoryState &ms, uint32_t idx,
                    uint64_t cycle) const;
 
     /** Selector bounds failure (cold path); throws SimError. */

@@ -245,8 +245,10 @@ TEST(Cli, AsimRunDumpBytecode)
         EXPECT_NE(r.out.find(section), std::string::npos) << r.out;
     EXPECT_NE(r.out.find("opt: linked="), std::string::npos) << r.out;
     EXPECT_NE(r.out.find("fused="), std::string::npos) << r.out;
-    // The counter's only bounds check is statically discharged.
-    EXPECT_NE(r.out.find("checksElided=1"), std::string::npos)
+    // The counter's only bounds check is statically discharged, and
+    // its one ALU is one fault-free run of one shape.
+    EXPECT_NE(r.out.find("checksElided=1 segments=1 shapes=1\n"),
+              std::string::npos)
         << r.out;
 }
 

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <numeric>
 
 #include "analysis/resolve.hh"
 #include "lang/parser.hh"
 #include "machines/counter.hh"
 #include "machines/stack_machine.hh"
 #include "machines/synthetic.hh"
+#include "sim/checkpoint.hh"
 #include "sim/compiler.hh"
 #include "sim/interpreter.hh"
 #include "sim/vm.hh"
@@ -206,6 +209,158 @@ TEST(Vm, StatsMatchInterpreterOnEverySpec)
     expectStatsMatchInterpreter(
         resolve(generateSynthetic(syntheticPreset("1k"))), 10,
         "synthetic 1k");
+}
+
+/** Two selectors indexed by the whole `count` word: both leave their
+ *  two cases at cycle 2, `s1` first in rs.comb order. `late`, `late2`
+ *  and `tail` share `early`'s level and shape, so without the fault
+ *  barriers the schedule would hoist them above `s1`. */
+const char *kTwoSelectorFaults = "# two selector faults\n"
+                                 "= 10\n"
+                                 "count early s1 late mid late2 s2 "
+                                 "tail .\n"
+                                 "A early 4 count 1\n"
+                                 "S s1 count 0 1\n"
+                                 "A late 4 count 10\n"
+                                 "A mid 7 late 2\n"
+                                 "A late2 4 count 30\n"
+                                 "S s2 count 5 6\n"
+                                 "A tail 4 count 20\n"
+                                 "M count 0 early 1 1\n"
+                                 ".\n";
+
+/** A dynamic ALU function (`count`) and a 14-case selector both fault
+ *  at cycle 14; the ALU comes first in rs.comb order. */
+const char *kAluAndSelectorFaults =
+    "# alu and selector faults\n"
+    "= 20\n"
+    "count early f late mid late2 s tail .\n"
+    "A early 4 count 1\n"
+    "A f count early 1\n"
+    "A late 4 count 10\n"
+    "A mid 7 late 2\n"
+    "A late2 4 count 30\n"
+    "S s count 0 1 2 3 4 5 6 7 8 9 10 11 12 13\n"
+    "A tail 4 count 20\n"
+    "M count 0 early 1 1\n"
+    ".\n";
+
+/** The schedule is a permutation of rs.comb in which every var slot
+ *  is written before it is read. */
+void
+expectTopologicalPermutation(const ResolvedSpec &rs,
+                             const std::vector<uint32_t> &order)
+{
+    std::vector<uint32_t> sorted = order;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<uint32_t> iota(rs.comb.size());
+    std::iota(iota.begin(), iota.end(), 0u);
+    ASSERT_EQ(sorted, iota);
+
+    std::vector<bool> written(rs.numVarSlots, false);
+    for (uint32_t i : order) {
+        const CombComp &c = rs.comb[i];
+        std::vector<const ResolvedExpr *> reads = {
+            &c.funct, &c.left, &c.right, &c.select};
+        for (const auto &e : c.cases)
+            reads.push_back(&e);
+        for (const ResolvedExpr *e : reads) {
+            for (const auto &t : e->terms) {
+                if (t.bank == ResolvedTerm::Bank::Var) {
+                    EXPECT_TRUE(written[t.slot])
+                        << c.name << " reads slot " << t.slot
+                        << " before it is written";
+                }
+            }
+        }
+        written[c.slot] = true;
+    }
+}
+
+TEST(VmSchedule, TopologicalPermutationOfComb)
+{
+    ResolvedSpec big = resolve(generateSynthetic(syntheticPreset("1k")));
+    const CombSchedule s = scheduleComb(big);
+    expectTopologicalPermutation(big, s.order);
+    EXPECT_EQ(s.segments, 1u); // every synthetic index is in range
+    std::vector<uint32_t> iota(big.comb.size());
+    std::iota(iota.begin(), iota.end(), 0u);
+    EXPECT_NE(s.order, iota);
+
+    // Faulting selectors stay at their rs.comb positions (1 and 5);
+    // the run between them is reordered by level: late, late2, mid.
+    ResolvedSpec rs = resolveText(kTwoSelectorFaults);
+    const CombSchedule f = scheduleComb(rs);
+    expectTopologicalPermutation(rs, f.order);
+    std::vector<std::string> names;
+    for (uint32_t i : f.order)
+        names.push_back(rs.comb[i].name);
+    EXPECT_EQ(names,
+              (std::vector<std::string>{"early", "s1", "late", "late2",
+                                        "mid", "s2", "tail"}));
+    EXPECT_EQ(f.segments, 3u);
+    EXPECT_EQ(f.shapes, 4u); // add-of-temp, mul, two selector forms
+
+    // The dump reports the same two figures.
+    const Program p = compileProgram(rs, {});
+    EXPECT_EQ(p.opt.segments, 3u);
+    EXPECT_EQ(p.opt.shapes, 4u);
+    EXPECT_NE(p.disassemble().find(" segments=3 shapes=4\n"),
+              std::string::npos);
+}
+
+TEST(VmSchedule, FirstFaultAndPostFaultStateMatchInterpreter)
+{
+    struct Case
+    {
+        const char *text;
+        const char *error;
+    };
+    for (const Case &k :
+         {Case{kTwoSelectorFaults,
+               "selector s1 index 2 outside its 2 cases (cycle 2)"},
+          Case{kAluAndSelectorFaults,
+               "ALU function 14 out of range 0..13"}}) {
+        ResolvedSpec rs = resolveText(k.text);
+        auto interp = makeInterpreter(rs);
+        auto vm = makeVm(rs);
+        std::string interpError, vmError;
+        try {
+            interp->run(20);
+        } catch (const SimError &e) {
+            interpError = e.what();
+        }
+        try {
+            vm->run(20);
+        } catch (const SimError &e) {
+            vmError = e.what();
+        }
+        EXPECT_EQ(interpError, k.error);
+        EXPECT_EQ(vmError, interpError);
+        EXPECT_EQ(vm->cycle(), interp->cycle());
+        // The faulting cycle wrote `early` but none of the
+        // components after the first fault.
+        EXPECT_EQ(vm->state().vars, interp->state().vars) << k.error;
+        EXPECT_EQ(vm->value("early"), vm->value("count") + 1);
+        EXPECT_EQ(vm->value("late"), vm->value("count") - 1 + 10);
+        EXPECT_TRUE(vm->state() == interp->state());
+    }
+}
+
+TEST(Vm, WideDesignMatchesInterpreter)
+{
+    // More var slots than a 16-bit operand can name: every slot and
+    // memory index must survive into the instruction stream.
+    ResolvedSpec rs =
+        resolve(generateSynthetic(syntheticPreset("66000")));
+    ASSERT_GT(rs.comb.size(), 65536u);
+    auto interp = makeInterpreter(rs);
+    auto vm = makeVm(rs);
+    interp->run(3);
+    vm->run(3);
+    const uint64_t hash = specIdentityHash(rs);
+    EXPECT_EQ(encodeCheckpoint(vm->snapshot(), hash, "engine"),
+              encodeCheckpoint(interp->snapshot(), hash, "engine"));
 }
 
 } // namespace
