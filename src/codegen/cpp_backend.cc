@@ -21,6 +21,18 @@ CppBackend::engineShell() const
     return opts_.emitServeLoop;
 }
 
+std::string
+CppBackend::dologicCall(const std::string &funct, const std::string &l,
+                        const std::string &r, const CombComp &c) const
+{
+    // The engine shell names the ALU and cycle in its function fault,
+    // as the in-process engines do; the standalone shell keeps the
+    // thesis' three-argument form.
+    const std::string where =
+        engineShell() ? ", \"" + c.name + "\", cyclecount" : "";
+    return "dologic(" + funct + ", " + l + ", " + r + where + ")";
+}
+
 void
 CppBackend::emitHeader()
 {
@@ -93,9 +105,14 @@ struct asim_host
     }
     if (opts_.emitStateDump && !engineShell())
         ln("    void dumpstate();");
-    raw(R"c(    void initvalues();
-    int32_t dologic(int32_t funct, int32_t left, int32_t right);
-    void docycle(long long cyclecount);
+    ln("    void initvalues();");
+    if (engineShell()) {
+        ln("    int32_t dologic(int32_t funct, int32_t left, int32_t right,");
+        ln("                    const char *alu, long long cycle);");
+    } else {
+        ln("    int32_t dologic(int32_t funct, int32_t left, int32_t right);");
+    }
+    raw(R"c(    void docycle(long long cyclecount);
 
     // I/O, trace and fault hooks, defined by the entry shell.
     int32_t sinput(int32_t address);
@@ -109,10 +126,12 @@ struct asim_host
                               long long cycle);
     [[noreturn]] void selfail(const char *sel, int32_t idx, int32_t cases,
                               long long cycle);
-    [[noreturn]] void alufail(int32_t funct);
-};
-
 )c");
+    ln(engineShell() ? "    [[noreturn]] void alufail(const char *alu, "
+                       "int32_t funct, long long cycle);"
+                     : "    [[noreturn]] void alufail(int32_t funct);");
+    ln("};");
+    ln("");
 }
 
 void
@@ -125,7 +144,12 @@ CppBackend::emitHelpers()
     ln("}");
     ln("");
     ln("int32_t");
-    ln("Machine::dologic(int32_t funct, int32_t left, int32_t right)");
+    if (engineShell()) {
+        ln("Machine::dologic(int32_t funct, int32_t left, int32_t right,");
+        ln("                 const char *alu, long long cycle)");
+    } else {
+        ln("Machine::dologic(int32_t funct, int32_t left, int32_t right)");
+    }
     ln("{");
     ln("    const int32_t mask = " + std::to_string(kValueMask) + ";");
     ln("    int32_t value = 0;");
@@ -163,7 +187,8 @@ CppBackend::emitHelpers()
     ln("      case 12: value = left == right ? 1 : 0; break;");
     ln("      case 13: value = left < right ? 1 : 0; break;");
     ln("      default:");
-    ln("        alufail(funct);");
+    ln(engineShell() ? "        alufail(alu, funct, cycle);"
+                     : "        alufail(funct);");
     ln("    }");
     ln("    return value;");
     ln("}");
@@ -294,10 +319,11 @@ Machine::selfail(const char *sel, int32_t idx, int32_t cases, long long cycle)
 }
 
 void
-Machine::alufail(int32_t funct)
+Machine::alufail(const char *alu, int32_t funct, long long cycle)
 {
-    std::snprintf(msg, sizeof msg, "ALU function %d out of range 0..13",
-                  (int)funct);
+    std::snprintf(msg, sizeof msg,
+                  "ALU %s function %d outside 0..13 (cycle %lld)", alu,
+                  (int)funct, cycle);
     std::longjmp(fault, 1);
 }
 
@@ -331,8 +357,8 @@ CppBackend::emitAlu(const CombComp &c)
     const std::string rp = CodegenContext::paren(r);
 
     if (!c.functConst || !opts_.inlineConstAlu) {
-        ln("    " + dst + " = dologic(" + expr(c.funct) + ", " + l +
-           ", " + r + ");");
+        ln("    " + dst + " = " + dologicCall(expr(c.funct), l, r, c) +
+           ";");
         return;
     }
 
@@ -358,7 +384,7 @@ CppBackend::emitAlu(const CombComp &c)
         ln("    " + dst + " = " + l + " - " + rp + ";");
         break;
       case kAluShl:
-        ln("    " + dst + " = dologic(6, " + l + ", " + r + ");");
+        ln("    " + dst + " = " + dologicCall("6", l, r, c) + ";");
         break;
       case kAluMul:
         ln("    " + dst + " = " + lp + " * " + rp + ";");

@@ -50,6 +50,9 @@ class CppBackend
   private:
     std::string expr(const ResolvedExpr &e) const;
     bool engineShell() const;
+    std::string dologicCall(const std::string &funct, const std::string &l,
+                            const std::string &r,
+                            const CombComp &c) const;
     void emitHeader();
     void emitState();
     void emitMachine();

@@ -16,9 +16,12 @@
  *    their destination (store/latch). This mirrors, in a portable
  *    form, the optimizations the thesis applied to generated Pascal
  *    (§4.4). The comb stream follows scheduleComb() (sim/compiler.hh):
- *    a topological order that groups same-shaped components. The
- *    phase streams are the *canonical* lowering: the disassembler
- *    prints them, and the optimizer treats them as read-only input.
+ *    a topological order that groups same-shaped components. Beyond
+ *    §4.4, constant component outputs propagate into their readers,
+ *    and those ahead of the first possible fault leave the streams
+ *    for `Program::prologue`, written once per run. The phase
+ *    streams are the *canonical* lowering: the disassembler prints
+ *    them, and the optimizer treats them as read-only input.
  *
  * 2. **Link + optimize** (sim/optimizer.cc) — the phases are
  *    concatenated into one `cycle` stream (comb, TraceCycle, latch,
@@ -296,6 +299,13 @@ struct VmMemInfo
     std::string name;
 };
 
+/** One constant component output the vm writes once per run. */
+struct ConstWrite
+{
+    uint32_t slot = 0;
+    int32_t value = 0;
+};
+
 /** A compiled program. */
 struct Program
 {
@@ -310,6 +320,12 @@ struct Program
      *  `cycleJumpTable` entries are indices into this stream. */
     std::vector<Instr> cycle;
     std::vector<uint32_t> cycleJumpTable;
+
+    /** Constant component outputs scheduled before the first
+     *  component that can fault: the VM writes them on entry to every
+     *  run instead of once per cycle (docs/INTERNALS.md, "Constant
+     *  propagation"). No instruction reads these slots. */
+    std::vector<ConstWrite> prologue;
 
     /** Jump table of the canonical `comb` stream (indices into
      *  `comb`; kept for inspection — the VM uses cycleJumpTable). */
@@ -329,6 +345,9 @@ struct Program
         uint32_t segments = 0;     ///< fault-free comb runs the
                                    ///< schedule reordered
         uint32_t shapes = 0;       ///< distinct comb component shapes
+        uint32_t folded = 0;       ///< comb outputs known at compile
+                                   ///< time
+        uint32_t hoisted = 0;      ///< of those, moved to `prologue`
     };
     OptSummary opt;
 

@@ -145,8 +145,11 @@ class Compiler
         const CombSchedule sched = scheduleComb(rs_);
         prog_.opt.segments = sched.segments;
         prog_.opt.shapes = sched.shapes;
-        for (uint32_t i : sched.order) {
-            const CombComp &c = rs_.comb[i];
+        known_.assign(rs_.numVarSlots, 0);
+        value_.assign(rs_.numVarSlots, 0);
+        for (size_t k = 0; k < sched.order.size(); ++k) {
+            const CombComp &c = rs_.comb[sched.order[k]];
+            hoist_ = k < sched.leading;
             if (c.kind == CompKind::Alu)
                 compileAlu(c);
             else
@@ -157,6 +160,58 @@ class Compiler
     }
 
   private:
+    /** True if term `t` reads a slot whose value is a compile-time
+     *  constant. */
+    bool
+    knownTerm(const ResolvedTerm &t) const
+    {
+        return t.bank == ResolvedTerm::Bank::Var && known_[t.slot];
+    }
+
+    /** `e` with every term that reads a known constant slot folded
+     *  into its constant part. Returns `e` itself when no term does;
+     *  otherwise builds the folded copy in `tmp`. */
+    const ResolvedExpr &
+    fold(const ResolvedExpr &e, ResolvedExpr &tmp) const
+    {
+        if (std::none_of(e.terms.begin(), e.terms.end(),
+                         [&](const ResolvedTerm &t) {
+                             return knownTerm(t);
+                         }))
+            return e;
+        tmp.constTotal = e.constTotal;
+        tmp.terms.clear();
+        for (const auto &t : e.terms) {
+            if (knownTerm(t)) {
+                tmp.constTotal = wadd(
+                    tmp.constTotal,
+                    shiftField(land(value_[t.slot], t.mask), t.shift));
+            } else {
+                tmp.terms.push_back(t);
+            }
+        }
+        return tmp;
+    }
+
+    /** Record that component output `slot` is the constant `v`: later
+     *  readers fold it. A constant scheduled before the first
+     *  component that can fault goes to the once-per-run prologue
+     *  (docs/INTERNALS.md, "Constant propagation"); any other is
+     *  stored every cycle in its place. */
+    void
+    emitConst(uint32_t slot, int32_t v)
+    {
+        known_[slot] = 1;
+        value_[slot] = v;
+        ++prog_.opt.folded;
+        if (hoist_) {
+            prog_.prologue.push_back({slot, v});
+            ++prog_.opt.hoisted;
+        } else {
+            prog_.comb.push_back({Op::StoreC, 0, slot, v, 0, 0});
+        }
+    }
+
     /** Emit code evaluating `e` into scratch register `reg`. */
     void
     compileExpr(std::vector<Instr> &code, const ResolvedExpr &e,
@@ -241,41 +296,47 @@ class Compiler
     {
         auto &code = prog_.comb;
         const auto slot = static_cast<uint32_t>(c.slot);
+        const ResolvedExpr &funct = fold(c.funct, tmp_[0]);
+        const ResolvedExpr &left = fold(c.left, tmp_[1]);
+        const ResolvedExpr &right = fold(c.right, tmp_[2]);
 
-        if (c.functConst && opts_.inlineConstAlu) {
+        // A dynamic function that folds to a valid constant takes the
+        // constant-function path; one that folds out of range keeps
+        // its run-time fault.
+        if (opts_.inlineConstAlu && funct.isConstant() &&
+            validAluFunction(funct.constTotal)) {
+            const int32_t fv = funct.constTotal;
             bool needL = true, needR = true;
-            aluOperandNeeds(c.functValue, needL, needR);
+            aluOperandNeeds(fv, needL, needR);
 
             // Full constant folding when every needed operand is
             // constant (except Shl, whose thesis semantics depend on
             // the run-time AluSemantics configuration).
             int32_t lv = 0, rv = 0;
-            bool lc = !needL || c.left.isConstant();
-            bool rc = !needR || c.right.isConstant();
-            if (needL && c.left.isConstant())
-                lv = c.left.constTotal;
-            if (needR && c.right.isConstant())
-                rv = c.right.constTotal;
-            if (lc && rc && c.functValue != kAluShl) {
-                int32_t v = dologic(c.functValue, lv, rv);
-                code.push_back({Op::StoreC, 0, slot, v, 0, 0});
+            bool lc = !needL || left.isConstant();
+            bool rc = !needR || right.isConstant();
+            if (needL && left.isConstant())
+                lv = left.constTotal;
+            if (needR && right.isConstant())
+                rv = right.constTotal;
+            if (lc && rc && fv != kAluShl) {
+                emitConst(slot, dologic(fv, lv, rv));
                 return;
             }
 
             if (needL)
-                compileExpr(code, c.left, 1);
+                compileExpr(code, left, 1);
             if (needR)
-                compileExpr(code, c.right, 2);
-            Op direct = aluDirectOp(c.functValue);
-            code.push_back({direct, 0, slot,
-                            direct == Op::AluConst ? c.functValue : 0,
-                            0, 0});
+                compileExpr(code, right, 2);
+            Op direct = aluDirectOp(fv);
+            code.push_back(
+                {direct, 0, slot, direct == Op::AluConst ? fv : 0, 0, 0});
             return;
         }
 
-        compileExpr(code, c.funct, 0);
-        compileExpr(code, c.left, 1);
-        compileExpr(code, c.right, 2);
+        compileExpr(code, funct, 0);
+        compileExpr(code, left, 1);
+        compileExpr(code, right, 2);
         code.push_back({Op::AluGen, 0, slot, 0, 0, 0});
     }
 
@@ -284,34 +345,46 @@ class Compiler
     {
         auto &code = prog_.comb;
         const auto slot = static_cast<uint32_t>(c.slot);
+        const auto count = static_cast<int32_t>(c.cases.size());
+        const ResolvedExpr &select = fold(c.select, tmp_[0]);
 
-        prog_.selInfos.push_back(
-            {c.name, static_cast<int32_t>(c.cases.size())});
+        // An index that folds to a constant inside the case list
+        // selects that case at compile time; one outside it keeps its
+        // run-time fault.
+        if (opts_.inlineConstAlu && select.isConstant() &&
+            select.constTotal >= 0 && select.constTotal < count) {
+            const ResolvedExpr &e =
+                fold(c.cases[select.constTotal], tmp_[1]);
+            if (e.isConstant())
+                emitConst(slot, e.constTotal);
+            else
+                compileStoreVar(code, e, slot);
+            return;
+        }
+
+        prog_.selInfos.push_back({c.name, count});
         const auto selIdx =
             static_cast<int32_t>(prog_.selInfos.size() - 1);
-        const auto count = static_cast<int32_t>(c.cases.size());
 
         // Microcode-ROM pattern: all cases constant -> table lookup.
-        bool allConst = true;
-        for (const auto &e : c.cases) {
-            if (!e.isConstant()) {
-                allConst = false;
-                break;
-            }
-        }
+        const bool allConst =
+            std::all_of(c.cases.begin(), c.cases.end(),
+                        [&](const ResolvedExpr &e) {
+                            return fold(e, tmp_[1]).isConstant();
+                        });
         if (allConst && opts_.constSelectorTables) {
             const auto base =
                 static_cast<int32_t>(prog_.constTable.size());
             for (const auto &e : c.cases)
-                prog_.constTable.push_back(e.constTotal);
-            compileExpr(code, c.select, 0);
+                prog_.constTable.push_back(fold(e, tmp_[1]).constTotal);
+            compileExpr(code, select, 0);
             code.push_back(
                 {Op::SelTable, 0, slot, base, count, selIdx});
             return;
         }
 
         // General form: switch over a jump table of case blocks.
-        compileExpr(code, c.select, 0);
+        compileExpr(code, select, 0);
         const auto base = static_cast<int32_t>(prog_.jumpTable.size());
         prog_.jumpTable.resize(base + c.cases.size());
         code.push_back({Op::Switch, 0, slot, base, count, selIdx});
@@ -320,7 +393,7 @@ class Compiler
         for (size_t i = 0; i < c.cases.size(); ++i) {
             prog_.jumpTable[base + i] =
                 static_cast<uint32_t>(code.size());
-            compileStoreVar(code, c.cases[i], slot);
+            compileStoreVar(code, fold(c.cases[i], tmp_[1]), slot);
             if (i + 1 != c.cases.size()) {
                 jumpFixups.push_back(code.size());
                 code.push_back({Op::Jump, 0, 0, 0, 0, 0});
@@ -363,8 +436,8 @@ class Compiler
         // Latch phase: address and operation of every memory.
         for (const auto &m : rs_.mems) {
             const auto idx = static_cast<uint32_t>(m.index);
-            compileLatch(prog_.latch, m.addr, idx, true);
-            compileLatch(prog_.latch, m.opn, idx, false);
+            compileLatch(prog_.latch, fold(m.addr, tmp_[0]), idx, true);
+            compileLatch(prog_.latch, fold(m.opn, tmp_[0]), idx, false);
         }
 
         // Update phase, declaration order.
@@ -386,14 +459,16 @@ class Compiler
                 flags |= kMemFlagElideTemp;
             }
 
-            if (m.opnConst && opts_.specializeConstMem) {
-                switch (land(m.opnValue, 3)) {
+            const ResolvedExpr &opn = fold(m.opn, tmp_[0]);
+            const ResolvedExpr &data = fold(m.data, tmp_[1]);
+            if (opn.isConstant() && opts_.specializeConstMem) {
+                switch (land(opn.constTotal, 3)) {
                   case mem_op::kRead:
                     prog_.update.push_back(
                         {Op::MemRead, flags, idx, 0, 0, 0});
                     break;
                   case mem_op::kWrite:
-                    compileExpr(prog_.update, m.data, 1);
+                    compileExpr(prog_.update, data, 1);
                     prog_.update.push_back(
                         {Op::MemWrite, flags, idx, 0, 0, 0});
                     break;
@@ -402,7 +477,7 @@ class Compiler
                         {Op::MemInput, flags, idx, 0, 0, 0});
                     break;
                   case mem_op::kOutput:
-                    compileExpr(prog_.update, m.data, 1);
+                    compileExpr(prog_.update, data, 1);
                     prog_.update.push_back(
                         {Op::MemOutput, flags, idx, 0, 0, 0});
                     break;
@@ -411,7 +486,7 @@ class Compiler
                 const size_t preAt = prog_.update.size();
                 prog_.update.push_back(
                     {Op::MemGenPre, flags, idx, 0, 0, 0});
-                compileExpr(prog_.update, m.data, 1);
+                compileExpr(prog_.update, data, 1);
                 prog_.update.push_back(
                     {Op::MemGenData, flags, idx, 0, 0, 0});
                 prog_.update[preAt].a =
@@ -425,6 +500,14 @@ class Compiler
     bool tracing_;
     Program prog_;
     std::set<int> observedTemps_;
+    /** Per var slot: is its value a compile-time constant, and which.
+     *  Only ever set when opts_.inlineConstAlu is on. */
+    std::vector<uint8_t> known_;
+    std::vector<int32_t> value_;
+    /** The component being emitted precedes every possible fault. */
+    bool hoist_ = false;
+    /** Scratch for folded expressions (fold()). */
+    ResolvedExpr tmp_[3];
 };
 
 } // namespace
@@ -475,6 +558,8 @@ scheduleComb(const ResolvedSpec &rs)
             if (i == 0 || segmentOf[i - 1] != segment)
                 ++sched.segments;
             segmentOf[i] = segment;
+            if (segment == 0)
+                ++sched.leading;
         }
     }
 
@@ -632,6 +717,9 @@ Program::disassemble() const
     dump("comb", comb);
     dump("latch", latch);
     dump("update", update);
+    os << "prologue:\n";
+    for (const ConstWrite &w : prologue)
+        os << "  #" << w.slot << " = " << w.value << "\n";
     dump("cycle (fused)", cycle);
     os << "jumpTable: " << jumpTable.size()
        << " entries, constTable: " << constTable.size()
@@ -640,6 +728,7 @@ Program::disassemble() const
        << " fused=" << opt.fused << " deadStores=" << opt.deadStores
        << " checksElided=" << opt.checksElided
        << " segments=" << opt.segments << " shapes=" << opt.shapes
+       << " folded=" << opt.folded << " hoisted=" << opt.hoisted
        << "\n";
     return os.str();
 }

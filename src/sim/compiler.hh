@@ -29,6 +29,8 @@ Program compileProgram(const ResolvedSpec &rs,
 struct CombSchedule
 {
     std::vector<uint32_t> order; ///< indices into rs.comb
+    uint32_t leading = 0;        ///< entries of `order` before the
+                                 ///< first component that can fault
     uint32_t segments = 0;       ///< fault-free runs reordered
     uint32_t shapes = 0;         ///< distinct component shapes
 };

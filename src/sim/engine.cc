@@ -96,6 +96,14 @@ Engine::traceCycle()
     cfg_.trace->endCycle();
 }
 
+void
+Engine::aluFail(std::string_view alu, int32_t funct, uint64_t cycle)
+{
+    throw SimError("ALU " + std::string(alu) + " function " +
+                   std::to_string(funct) + " outside 0..13 (cycle " +
+                   std::to_string(cycle) + ")");
+}
+
 int32_t
 Engine::value(std::string_view name) const
 {

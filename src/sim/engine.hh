@@ -159,6 +159,11 @@ class Engine
     /** Emit the per-cycle trace line for the starred components. */
     void traceCycle();
 
+    /** The dynamic-ALU-function fault (DESIGN.md §3), worded alike by
+     *  every engine. @throws SimError always */
+    [[noreturn]] static void aluFail(std::string_view alu, int32_t funct,
+                                     uint64_t cycle);
+
     /** Account `n` completed cycles in stats_. Every combinational
      *  component is evaluated exactly once per cycle, so the ALU and
      *  selector counts follow from the cycle count; a cycle cut short

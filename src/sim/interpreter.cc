@@ -31,6 +31,8 @@ Interpreter::evalCombOne(const CombComp &c)
         int32_t f = eval(c.funct);
         int32_t l = eval(c.left);
         int32_t r = eval(c.right);
+        if (!validAluFunction(f))
+            aluFail(c.name, f, cycle_);
         state_.vars[c.slot] = dologic(f, l, r, cfg_.aluSemantics);
     } else {
         int32_t idx = eval(c.select);

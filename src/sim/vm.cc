@@ -42,6 +42,16 @@ Vm::selFail(const Instr &in, int32_t sel, uint64_t cycle) const
 }
 
 void
+Vm::aluFault(uint32_t slot, int32_t funct, uint64_t cycle) const
+{
+    for (const CombComp &c : rs_->comb) {
+        if (c.slot == static_cast<int>(slot))
+            aluFail(c.name, funct, cycle);
+    }
+    aluFail("?", funct, cycle);
+}
+
+void
 Vm::memTrace(const MemoryState &ms, const Instr &in) const
 {
     // Cold path: only reached when the compiler left a trace flag on
@@ -135,6 +145,16 @@ Vm::runCycles(uint64_t n)
         return static_cast<uint64_t>(
                    static_cast<int64_t>(ms.adr)) >= ms.cells.size();
     };
+    const auto badFunct = [](int32_t f) {
+        return static_cast<uint32_t>(f) >= kAluFunctionCount;
+    };
+
+    // The leading constants. No instruction reads these slots, and
+    // each cycle would store them before anything can fault, so
+    // writing them once per run is exact (docs/INTERNALS.md,
+    // "Constant propagation").
+    for (const ConstWrite &w : prog_->prologue)
+        vars[w.slot] = w.value;
 
     try {
         // One entry per Op, in exact enum order (sim/bytecode.hh).
@@ -208,11 +228,15 @@ Vm::runCycles(uint64_t n)
 
         CASE(AluGen)
         {
+            if (badFunct(s[0]))
+                aluFault(ip->idx, s[0], curCycle());
             vars[ip->idx] = dologic(s[0], s[1], s[2], alu);
         }
         NEXT();
         CASE(AluConst)
         {
+            if (badFunct(ip->a))
+                aluFault(ip->idx, ip->a, curCycle());
             vars[ip->idx] = dologic(ip->a, s[1], s[2], alu);
         }
         NEXT();
@@ -963,6 +987,8 @@ Vm::runCycles(uint64_t n)
             const int32_t r = (banks & 48) == 0 ? e3.a
                               : (banks & 48) == 16 ? ASIM_FLDV(e3)
                                                    : ASIM_FLDT(e3);
+            if (badFunct(f))
+                aluFault(ip->idx, f, curCycle());
             vars[ip->idx] = dologic(f, l, r, alu);
             NEXTN(4);
         }

@@ -63,6 +63,11 @@ class Vm : public Engine
     [[noreturn]] void selFail(const Instr &in, int32_t sel,
                               uint64_t cycle) const;
 
+    /** Dynamic ALU function outside 0..13 (cold path; the ALU is
+     *  named by its output slot); throws SimError. */
+    [[noreturn]] void aluFault(uint32_t slot, int32_t funct,
+                               uint64_t cycle) const;
+
     /** Runtime trace checks (cold path, flag-gated). */
     void memTrace(const MemoryState &ms, const Instr &in) const;
 

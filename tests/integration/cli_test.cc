@@ -241,13 +241,15 @@ TEST(Cli, AsimRunDumpBytecode)
     EXPECT_EQ(r.status, 0) << r.out;
     EXPECT_EQ(r.out.rfind("comb:", 0), 0u) << r.out;
     for (const char *section :
-         {"comb:", "latch:", "update:", "cycle (fused):"})
+         {"comb:", "latch:", "update:", "prologue:", "cycle (fused):"})
         EXPECT_NE(r.out.find(section), std::string::npos) << r.out;
     EXPECT_NE(r.out.find("opt: linked="), std::string::npos) << r.out;
     EXPECT_NE(r.out.find("fused="), std::string::npos) << r.out;
-    // The counter's only bounds check is statically discharged, and
-    // its one ALU is one fault-free run of one shape.
-    EXPECT_NE(r.out.find("checksElided=1 segments=1 shapes=1\n"),
+    // The counter's only bounds check is statically discharged, its
+    // one ALU is one fault-free run of one shape, and it reads a
+    // memory, so nothing folds.
+    EXPECT_NE(r.out.find("checksElided=1 segments=1 shapes=1 folded=0 "
+                         "hoisted=0\n"),
               std::string::npos)
         << r.out;
 }

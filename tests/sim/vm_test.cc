@@ -14,6 +14,7 @@
 #include "sim/checkpoint.hh"
 #include "sim/compiler.hh"
 #include "sim/interpreter.hh"
+#include "sim/symbolic.hh"
 #include "sim/vm.hh"
 
 #ifndef ASIM_SPECS_DIR
@@ -305,7 +306,8 @@ TEST(VmSchedule, TopologicalPermutationOfComb)
     const Program p = compileProgram(rs, {});
     EXPECT_EQ(p.opt.segments, 3u);
     EXPECT_EQ(p.opt.shapes, 4u);
-    EXPECT_NE(p.disassemble().find(" segments=3 shapes=4\n"),
+    EXPECT_NE(p.disassemble().find(" segments=3 shapes=4 folded=0 "
+                                   "hoisted=0\n"),
               std::string::npos);
 }
 
@@ -320,7 +322,7 @@ TEST(VmSchedule, FirstFaultAndPostFaultStateMatchInterpreter)
          {Case{kTwoSelectorFaults,
                "selector s1 index 2 outside its 2 cases (cycle 2)"},
           Case{kAluAndSelectorFaults,
-               "ALU function 14 out of range 0..13"}}) {
+               "ALU f function 14 outside 0..13 (cycle 14)"}}) {
         ResolvedSpec rs = resolveText(k.text);
         auto interp = makeInterpreter(rs);
         auto vm = makeVm(rs);
@@ -344,6 +346,294 @@ TEST(VmSchedule, FirstFaultAndPostFaultStateMatchInterpreter)
         EXPECT_EQ(vm->value("early"), vm->value("count") + 1);
         EXPECT_EQ(vm->value("late"), vm->value("count") - 1 + 10);
         EXPECT_TRUE(vm->state() == interp->state());
+    }
+}
+
+/** A cascade of constants: `k` is a literal ALU, `b`'s dynamic
+ *  function folds to 7 (multiply) through `x`, and `s`'s index folds
+ *  to 1 through `k`. Only `t` and the memory stay live. `b` can fault
+ *  as far as the schedule knows, so `x` and `k` lead it and `b` and
+ *  `s` follow. */
+const char *kConstCascade = "# constant cascade\n"
+                            "= 10\n"
+                            "count x k b s t .\n"
+                            "A x 1 0 7\n"
+                            "A k 4 2 3\n"
+                            "A b x k 2\n"
+                            "S s k.0.0 count b\n"
+                            "A t 4 s count\n"
+                            "M count 0 t 1 1\n"
+                            ".\n";
+
+/** `k1` and `g` precede the barrier `f`, whose dynamic function
+ *  `g = count + k1` is 14 at cycle 0; `k2` and `t` follow it. */
+const char *kConstBarrier = "# constants around a barrier\n"
+                            "= 10\n"
+                            "count k1 g f k2 t .\n"
+                            "A k1 1 0 14\n"
+                            "A g 4 count k1\n"
+                            "A f g 1 1\n"
+                            "A k2 1 0 9\n"
+                            "A t 4 k2 count\n"
+                            "M count 0 g 1 1\n"
+                            ".\n";
+
+/** Var slots an instruction of the canonical streams reads. */
+std::vector<uint32_t>
+slotsRead(const Instr &in)
+{
+    switch (in.op) {
+      case Op::LoadVar:
+      case Op::AccVar:
+        return {in.idx};
+      case Op::StoreFVar:
+      case Op::MemAdrFVar:
+      case Op::MemOpnFVar:
+        return {static_cast<uint32_t>(in.c)};
+      default:
+        return {};
+    }
+}
+
+/** Run `cycles` cycles on vm and interp from the same start and
+ *  require the same fault text, cycle and state. */
+void
+expectSameRun(Engine &vm, Engine &interp, uint64_t cycles,
+              const std::string &what)
+{
+    std::string vmError, interpError;
+    try {
+        vm.run(cycles);
+    } catch (const SimError &e) {
+        vmError = e.what();
+    }
+    try {
+        interp.run(cycles);
+    } catch (const SimError &e) {
+        interpError = e.what();
+    }
+    EXPECT_EQ(vmError, interpError) << what;
+    EXPECT_EQ(vm.cycle(), interp.cycle()) << what;
+    EXPECT_EQ(vm.state().vars, interp.state().vars) << what;
+    EXPECT_TRUE(vm.state() == interp.state()) << what;
+}
+
+TEST(VmConstProp, CascadeFoldsAwayEveryConstantSlot)
+{
+    ResolvedSpec rs = resolveText(kConstCascade);
+    const Program p = compileProgram(rs, {});
+    const std::vector<uint32_t> folded = {
+        static_cast<uint32_t>(rs.varSlot("x")),
+        static_cast<uint32_t>(rs.varSlot("k")),
+        static_cast<uint32_t>(rs.varSlot("b")),
+        static_cast<uint32_t>(rs.varSlot("s"))};
+
+    // All four fold and no instruction of any phase reads them. The
+    // two ahead of the first possible fault are written once per
+    // run; `b` and `s` are stored each cycle in their place.
+    std::vector<uint32_t> hoisted;
+    for (const ConstWrite &w : p.prologue)
+        hoisted.push_back(w.slot);
+    EXPECT_EQ(hoisted, std::vector<uint32_t>(folded.begin(),
+                                             folded.begin() + 2));
+    EXPECT_EQ(p.opt.folded, 4u);
+    EXPECT_EQ(p.opt.hoisted, 2u);
+    EXPECT_EQ(countOp(p.comb, Op::StoreC), 2);
+    for (const auto *code : {&p.comb, &p.latch, &p.update}) {
+        for (const Instr &in : *code) {
+            for (uint32_t slot : slotsRead(in)) {
+                EXPECT_EQ(std::count(folded.begin(), folded.end(), slot),
+                          0)
+                    << opName(in.op) << " reads folded slot " << slot;
+            }
+        }
+    }
+    // t = s + count folds to one constant-plus-field add.
+    EXPECT_EQ(countOp(p.comb, Op::AluGen), 0);
+    EXPECT_EQ(countOp(p.comb, Op::Switch), 0);
+    EXPECT_EQ(countOp(p.comb, Op::SelTable), 0);
+    EXPECT_NE(p.disassemble().find("folded=4 hoisted=2\n"),
+              std::string::npos);
+
+    auto vm = makeVm(rs);
+    auto interp = makeInterpreter(rs);
+    expectSameRun(*vm, *interp, 10, "cascade");
+    EXPECT_EQ(vm->value("b"), 10);
+    EXPECT_EQ(vm->value("s"), 10);
+}
+
+TEST(VmConstProp, BarrierKeepsLaterConstantsUnwritten)
+{
+    ResolvedSpec rs = resolveText(kConstBarrier);
+    const Program p = compileProgram(rs, {});
+    // k1 leads the schedule and is hoisted; k2 sits behind the
+    // barrier and keeps its per-cycle store.
+    EXPECT_EQ(p.prologue.size(), 1u);
+    EXPECT_EQ(p.prologue.at(0).slot,
+              static_cast<uint32_t>(rs.varSlot("k1")));
+    EXPECT_EQ(p.opt.folded, 2u);
+    EXPECT_EQ(countOp(p.comb, Op::StoreC), 1);
+
+    const std::string fault =
+        "ALU f function 14 outside 0..13 (cycle 0)";
+    auto vm = makeVm(rs);
+    auto interp = makeInterpreter(rs);
+    expectSameRun(*vm, *interp, 5, "after construction");
+    EXPECT_EQ(vm->value("k1"), 14);
+    EXPECT_EQ(vm->value("k2"), 0);
+
+    // The same first-cycle fault after reset() ...
+    vm->reset();
+    interp->reset();
+    expectSameRun(*vm, *interp, 5, "after reset");
+
+    // ... and after a restore whose constants were edited: the fault
+    // overwrites k1 but never reaches k2.
+    interp->reset();
+    EngineSnapshot snap = interp->snapshot();
+    snap.state.vars[rs.varSlot("k1")] = 99;
+    snap.state.vars[rs.varSlot("k2")] = 98;
+    vm->restore(snap);
+    interp->restore(snap);
+    expectSameRun(*vm, *interp, 5, "after an edited restore");
+    EXPECT_EQ(vm->value("k1"), 14);
+    EXPECT_EQ(vm->value("k2"), 98);
+    try {
+        vm->run(1);
+        ADD_FAILURE() << "no fault";
+    } catch (const SimError &e) {
+        EXPECT_EQ(std::string(e.what()), fault);
+    }
+}
+
+TEST(VmConstProp, FoldedOutOfRangeFaultsAtRunTime)
+{
+    // `k` is 14: as `f`'s function and as `s`'s index it folds to a
+    // constant out of range, which must still fault when it runs.
+    struct Case
+    {
+        const char *text;
+        const char *error;
+    };
+    for (const Case &c :
+         {Case{"# folded bad function\n"
+               "k f .\n"
+               "A k 1 0 14\n"
+               "A f k 1 1\n"
+               ".\n",
+               "ALU f function 14 outside 0..13 (cycle 0)"},
+          Case{"# folded bad index\n"
+               "k s .\n"
+               "A k 1 0 14\n"
+               "S s k 1 2\n"
+               ".\n",
+               "selector s index 14 outside its 2 cases (cycle 0)"}}) {
+        ResolvedSpec rs = resolveText(c.text);
+        auto vm = makeVm(rs);
+        auto interp = makeInterpreter(rs);
+        try {
+            vm->run(3);
+            ADD_FAILURE() << "no fault";
+        } catch (const SimError &e) {
+            EXPECT_EQ(std::string(e.what()), c.error);
+        }
+        vm->reset();
+        expectSameRun(*vm, *interp, 3, c.text);
+    }
+}
+
+TEST(VmConstProp, EditBetweenRunsIsOverwritten)
+{
+    ResolvedSpec rs = resolveText(kConstCascade);
+    auto vm = makeVm(rs);
+    auto interp = makeInterpreter(rs);
+    vm->run(3);
+    interp->run(3);
+    for (const char *name : {"x", "k", "b", "s"}) {
+        vm->state().vars[rs.varSlot(name)] = 1234;
+        interp->state().vars[rs.varSlot(name)] = 1234;
+    }
+    // The edit is visible until the next cycle runs ...
+    EXPECT_EQ(vm->value("s"), 1234);
+    expectSameRun(*vm, *interp, 1, "edit then run(1)");
+    // ... and a constant again after it.
+    EXPECT_EQ(vm->value("x"), 7);
+    EXPECT_EQ(vm->value("s"), 10);
+    EXPECT_EQ(vm->value("t"), interp->value("t"));
+}
+
+TEST(VmConstProp, CycleZeroSnapshotMatchesInterpreter)
+{
+    for (const char *text : {kConstCascade, kConstBarrier}) {
+        ResolvedSpec rs = resolveText(text);
+        auto vm = makeVm(rs);
+        auto interp = makeInterpreter(rs);
+        const uint64_t hash = specIdentityHash(rs);
+        EXPECT_EQ(encodeCheckpoint(vm->snapshot(), hash, "engine"),
+                  encodeCheckpoint(interp->snapshot(), hash, "engine"))
+            << text;
+        vm->run(0);
+        EXPECT_TRUE(vm->state() == interp->state()) << text;
+    }
+}
+
+TEST(VmConstProp, OffLeavesTheStreamUnfolded)
+{
+    CompilerOptions off;
+    off.inlineConstAlu = false;
+    const char *literalIndex = "# literal index\n"
+                               "count c .\n"
+                               "S c 1 count count\n"
+                               "M count 0 c 1 1\n"
+                               ".\n";
+    for (const char *text : {kConstCascade, kConstBarrier, literalIndex}) {
+        ResolvedSpec rs = resolveText(text);
+        const Program p = compileProgram(rs, off);
+        EXPECT_TRUE(p.prologue.empty());
+        EXPECT_EQ(p.opt.folded, 0u);
+        EXPECT_EQ(p.opt.hoisted, 0u);
+        // Every component keeps its own evaluation: one generic ALU
+        // per ALU, one table or switch per selector, nothing stored
+        // as a constant.
+        int alus = 0, sels = 0;
+        for (const CombComp &c : rs.comb)
+            (c.kind == CompKind::Alu ? alus : sels) += 1;
+        EXPECT_EQ(countOp(p.comb, Op::AluGen), alus) << text;
+        EXPECT_EQ(countOp(p.comb, Op::Switch) +
+                      countOp(p.comb, Op::SelTable),
+                  sels)
+            << text;
+        EXPECT_EQ(countOp(p.comb, Op::StoreC), 0) << text;
+        EXPECT_EQ(p.selInfos.size(), static_cast<size_t>(sels));
+
+        auto vm = makeVm(rs, {}, off);
+        auto interp = makeInterpreter(rs);
+        expectSameRun(*vm, *interp, 10, text);
+    }
+}
+
+TEST(AluFault, EveryEngineNamesTheAluAndCycle)
+{
+    // Function `count.0.4` reaches 14 at cycle 14.
+    ResolvedSpec rs = resolveText("# dynbad\n"
+                                  "inc count r .\n"
+                                  "A inc 4 count 1\n"
+                                  "M count 0 inc 1 1\n"
+                                  "A r count.0.4 1 1\n"
+                                  ".\n");
+    std::vector<std::unique_ptr<Engine>> engines;
+    engines.push_back(makeVm(rs));
+    engines.push_back(makeInterpreter(rs));
+    engines.push_back(makeSymbolicInterpreter(rs));
+    for (auto &e : engines) {
+        try {
+            e->run(20);
+            ADD_FAILURE() << "no fault";
+        } catch (const SimError &err) {
+            EXPECT_EQ(std::string(err.what()),
+                      "ALU r function 14 outside 0..13 (cycle 14)");
+        }
+        EXPECT_EQ(e->cycle(), 14u);
     }
 }
 
